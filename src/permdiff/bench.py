@@ -9,7 +9,7 @@ with a permutation-derived threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -19,7 +19,7 @@ from .errors import DomainError
 from .ou_sde import NoiseSchedule
 from .perm_mcmc import McmcConfig
 from .quotient_score import symmetrized_score_exact, symmetrized_score_mcmc
-from .score_model import Checkpoint, TrainConfig, train, sample_from_model
+from .score_model import TrainConfig, train, sample_from_model
 
 DATASET_KINDS = ("gaussian-blobs", "ring", "jittered-template")
 
@@ -303,31 +303,7 @@ def run_toy_generation(
         raise DomainError("dataset too small for the requested reference split")
     reference = dataset[:n_reference]
     train_split = dataset[n_reference:]
-    if do_train:
-        ckpt = train(train_split, train_cfg)
-    else:
-        ckpt = train(train_split, _zero_iteration(train_cfg))
+    ckpt = train(train_split, train_cfg if do_train else replace(train_cfg, iterations=0))
     samples = sample_from_model(ckpt, n_samples, schedule, seed=seed + 1)
     return generation_report(samples, reference, n_shuffles, seed, trained=do_train)
 
-
-def _zero_iteration(cfg: TrainConfig) -> TrainConfig:
-    from dataclasses import replace
-
-    return replace(cfg, iterations=0)
-
-
-def train_and_report(
-    dataset: list[PointCloud],
-    train_cfg: TrainConfig,
-    schedule: NoiseSchedule,
-    n_samples: int,
-    n_reference: int,
-    n_shuffles: int,
-    seed: int,
-) -> tuple[Checkpoint, GenReport]:
-    """Like run_toy_generation but also returns the checkpoint."""
-    reference = dataset[:n_reference]
-    ckpt = train(dataset[n_reference:], train_cfg)
-    samples = sample_from_model(ckpt, n_samples, schedule, seed=seed + 1)
-    return ckpt, generation_report(samples, reference, n_shuffles, seed, trained=True)

@@ -209,6 +209,10 @@ def _read_config_file(path) -> dict:
 
 
 def _train_config(args, argv) -> TrainConfig:
+    """The TrainConfig of the train flags (train and bench-gen share them).
+
+    With ``--config``, file values fill in the flags that ``argv`` does not give.
+    """
     values = {
         "iterations": args.iterations,
         "batch_size": args.batch_size,
@@ -225,7 +229,7 @@ def _train_config(args, argv) -> TrainConfig:
         "eval_every": args.eval_every,
         "seed": args.seed,
     }
-    if args.config:
+    if getattr(args, "config", None):
         # Config-file values apply only where the flag was not given explicitly.
         from_file = _read_config_file(args.config)
         for key, val in from_file.items():
@@ -282,20 +286,10 @@ def cmd_bench_gen(args) -> int:
         args.kind, args.items, args.points, args.dim, args.seed,
         jitter=args.jitter, radius=args.radius, blob_std=args.blob_std,
     )
-    cfg = TrainConfig(
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        step_size=args.step_size,
-        t_min=args.t_min,
-        horizon=args.horizon,
-        widths=(args.width,) * args.depth,
-        seed=args.seed,
-    )
-    schedule = _schedule(args)
     report = bench.run_toy_generation(
         dataset,
-        cfg,
-        schedule,
+        _train_config(args, []),
+        _schedule(args),
         n_samples=args.samples,
         n_reference=args.reference,
         n_shuffles=args.shuffles,

@@ -147,9 +147,9 @@ def canonicalize(cloud) -> QuotientPoint:
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix of squared distances D[i, j] = ||x_i - y_j||^2."""
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances D[..., i, j] = ||x_i - y_j||^2, broadcast over leading axes."""
+    diff = x[..., :, None, :] - y[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def orbit_distance(x, y) -> float:

@@ -3,6 +3,11 @@
 The quotient kernel is the sum of Euclidean Gaussian kernels over all N!
 relabelings of the second argument. Everything is computed in log domain:
 at small times the permutation sum spans hundreds of orders of magnitude.
+
+``_perm_sums`` and ``_assignment_marginals`` are the package's one exact
+core over S_N: the kernel, the transition density, the exact posterior, the
+ELBO, the exact scores and training targets all get their permutation sums
+and assignment marginals from these two functions.
 """
 
 from __future__ import annotations
@@ -30,6 +35,41 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _perm_sums(cost: np.ndarray, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """Permutation sums of a cost array: (..., N, N) -> (..., N!) in Heap's order.
+
+    Entry k is sum_j cost[..., s(j), j] for the k-th permutation s of
+    ``permutation_array``; with log affinities as costs it is that
+    permutation's log weight. Raises CapacityError above ``cap``.
+    """
+    n = cost.shape[-1]
+    perms = permutation_array(n, cap)
+    # One (..., N!) gather per slot keeps memory at the size of the output.
+    out = cost[..., perms[:, 0], 0]
+    for j in range(1, n):
+        out += cost[..., perms[:, j], j]
+    return out
+
+
+def _assignment_marginals(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Assignment marginals P[..., i, j] = sum of probs[..., k] over k with support[k, j] = i.
+
+    ``support`` holds K permutations as rows (slot j receives point
+    support[k, j]), the full enumeration or MCMC samples alike; ``probs``
+    is (..., K). Returns (..., N, N); each row sums to the total mass.
+    """
+    k, n = support.shape
+    probs = np.asarray(probs, dtype=float)
+    rows = probs.reshape(-1, k)
+    m = rows.shape[0]
+    offsets = n * np.arange(m)[:, None]
+    marg = np.empty((m, n, n))
+    for j in range(n):
+        bins = (offsets + support[:, j]).ravel()
+        marg[:, :, j] = np.bincount(bins, rows.ravel(), minlength=m * n).reshape(m, n)
+    return marg.reshape(*probs.shape[:-1], n, n)
+
+
 def euclid_log_heat_kernel(x, y, t: float) -> float:
     """log of the Gaussian heat kernel: -(dN/2) log(4 pi t) - ||x-y||^2 / (4t)."""
     t = _check_time(t)
@@ -49,9 +89,8 @@ def quotient_log_kernel_terms(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
     n, d = px.shape
-    perms = permutation_array(n, cap)
-    sq = pairwise_sq_dists(px, py)[perms, np.arange(n)].sum(axis=1)
-    return -(d * n / 2.0) * math.log(4.0 * math.pi * t) - sq / (4.0 * t)
+    terms = _perm_sums(-pairwise_sq_dists(px, py) / (4.0 * t), cap)
+    return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + terms
 
 
 def quotient_log_heat_kernel_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> float:
@@ -88,16 +127,10 @@ def quotient_kernel_semigroup_residual(
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
     n, d = px.shape
-    perms = permutation_array(n, cap)
     rng = np.random.default_rng(seed)
     z = px[None, :, :] + math.sqrt(2.0 * s) * rng.standard_normal((m, n, d))
-    # ||z_m - sigma(y)||^2 for every draw and permutation, via the pair matrix
-    diff = z[:, :, None, :] - py[None, None, :, :]
-    pair_sq = np.einsum("mijk,mijk->mij", diff, diff)
-    sq = pair_sq[:, perms, np.arange(n)].sum(axis=2)
-    log_vals = -(d * n / 2.0) * math.log(4.0 * math.pi * t) + logsumexp(
-        -sq / (4.0 * t), axis=1
-    )
+    terms = _perm_sums(-pairwise_sq_dists(z, py) / (4.0 * t), cap)
+    log_vals = -(d * n / 2.0) * math.log(4.0 * math.pi * t) + logsumexp(terms, axis=1)
     vals = np.exp(log_vals)
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")

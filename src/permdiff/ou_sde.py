@@ -28,7 +28,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError, ScoreCallbackError
-from .heat_kernel import _check_time
+from .heat_kernel import _check_time, _perm_sums
 
 # Score callbacks are never evaluated below this time; the conditional score
 # scale 1/(2t) is singular at t = 0.
@@ -143,12 +143,8 @@ def quotient_transition_log_density(
     check_same_shape(px, py)
     tr = ou_transition(s, t)
     n, d = px.shape
-    perms = permutation_array(n, cap)
-    sq = pairwise_sq_dists(tr.decay * px, py)[perms, np.arange(n)].sum(axis=1)
-    return float(
-        -(d * n / 2.0) * math.log(2.0 * math.pi * tr.variance)
-        + logsumexp(-sq / (2.0 * tr.variance))
-    )
+    terms = _perm_sums(-pairwise_sq_dists(tr.decay * px, py) / (2.0 * tr.variance), cap)
+    return float(-(d * n / 2.0) * math.log(2.0 * math.pi * tr.variance) + logsumexp(terms))
 
 
 def quotient_marginal_log_density(
@@ -216,14 +212,11 @@ def identity_exchange_trace(
     """
     px = as_points(x0)
     n = px.shape[0]
+    if n > cap:
+        return [min_cost_assignment(px, state) for state in trajectory.states]
+    perms = permutation_array(n, cap)
     trace = []
-    if n <= cap:
-        perms = permutation_array(n, cap)
-        for state in trajectory.states:
-            sq = pairwise_sq_dists(px, as_points(state))[perms, np.arange(n)].sum(axis=1)
-            best = perms[int(np.argmin(sq))]
-            trace.append(Permutation(tuple(int(v) for v in best)))
-    else:
-        for state in trajectory.states:
-            trace.append(min_cost_assignment(px, state))
+    for state in trajectory.states:
+        terms = _perm_sums(-pairwise_sq_dists(px, as_points(state)), cap)
+        trace.append(Permutation(tuple(int(v) for v in perms[np.argmax(terms)])))
     return trace

@@ -25,7 +25,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _check_time
+from .heat_kernel import _assignment_marginals, _check_time, _perm_sums
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -89,19 +89,12 @@ class PermDistribution:
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def permutations(self) -> list[Permutation]:
-        return [Permutation(tuple(int(v) for v in row)) for row in self.support]
-
     def assignment_marginal(self) -> np.ndarray:
         """Matrix P[i, j] = probability that point i occupies slot j.
 
         Every row is a distribution over slots.
         """
-        n = self.n
-        probs = self.probabilities()
-        marg = np.zeros((n, n))
-        np.add.at(marg, (self.support, np.arange(n)[None, :]), probs[:, None])
-        return marg
+        return _assignment_marginals(self.support, self.probabilities())
 
     def mean_matched_points(self, x) -> np.ndarray:
         """Posterior-mean point matched to each slot: row j = E[x_{sigma(j)}]."""
@@ -124,13 +117,8 @@ def exact_from_log_weights(
 
 def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribution:
     """The normalized posterior over all of S_N by enumeration."""
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
-    n = px.shape[0]
-    perms = permutation_array(n, cap)
-    ivals = -(pairwise_sq_dists(px, py)[perms, np.arange(n)].sum(axis=1)) / (4.0 * t)
-    return exact_from_log_weights(n, ivals, cap)
+    entries = cost_matrix(x, y, t).entries
+    return exact_from_log_weights(entries.shape[0], _perm_sums(entries, cap), cap)
 
 
 @dataclass(frozen=True)
@@ -196,13 +184,10 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     identity move and counts as accepted. ``always_accept`` accepts every
     proposal (an ablation whose chain does not target q).
     """
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
-    n = px.shape[0]
+    entries = cost_matrix(x, y, t).entries
+    n = entries.shape[0]
     burn_in, thinning, k = cfg.resolve(n)
 
-    entries = -pairwise_sq_dists(px, py) / (4.0 * t)
     # Per-row tables, O(N^2) setup: cumulative probabilities for the slot
     # draw (O(log N) per step), and the negated log probabilities and their
     # exponentials (inverse probabilities, inf where they overflow) for R.
@@ -217,7 +202,7 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     rng = np.random.default_rng(cfg.seed)
     # Start at the mode: at small t a chain started elsewhere can settle in
     # a local mode that no single transposition leaves.
-    sigma = list(min_cost_assignment(px, py).mapping)  # sigma[slot] = point index
+    sigma = list(min_cost_assignment(x, y).mapping)  # sigma[slot] = point index
     slot_of = [0] * n  # slot_of[point] = slot
     for slot, point in enumerate(sigma):
         slot_of[point] = slot

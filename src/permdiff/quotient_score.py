@@ -2,8 +2,9 @@
 
 The gradient of the log quotient kernel in its noised argument is the
 posterior expectation over permutations of per-permutation Gaussian scores
-(the mixture-score identity). Exact evaluation enumerates S_N; the MCMC
-variant averages per-permutation scores over posterior samples.
+(the mixture-score identity). Exact evaluation enumerates S_N through the
+permutation-sum core of ``heat_kernel``; the MCMC variant averages
+per-permutation scores over posterior samples.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _check_time
-from .perm_mcmc import (
-    EXACT,
-    McmcConfig,
-    PermDistribution,
-    mcmc_sample,
-    posterior_exact,
-)
+from .heat_kernel import _assignment_marginals, _check_time, _perm_sums
+from .perm_mcmc import EXACT, McmcConfig, PermDistribution, cost_matrix, mcmc_sample
 
 
 def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
@@ -44,6 +39,20 @@ def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
     return (px[sigma.as_array()] - py) / (2.0 * t)
 
 
+def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray, cap: int) -> np.ndarray:
+    """Exact symmetrized scores (P^T x - y) / (2t) of B pairs: x, y (B, N, d), t (B,).
+
+    P is the posterior assignment marginal over all of S_N, from the
+    permutation sums of the cost matrices -||x_i - y_j||^2 / (4t).
+    """
+    t = t[:, None, None]
+    terms = _perm_sums(-pairwise_sq_dists(x, y) / (4.0 * t), cap)
+    w = np.exp(terms - terms.max(axis=1, keepdims=True))
+    probs = w / w.sum(axis=1, keepdims=True)
+    marg = _assignment_marginals(permutation_array(x.shape[1], cap), probs)
+    return (np.swapaxes(marg, 1, 2) @ x - y) / (2.0 * t)
+
+
 def symmetrized_score_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """Posterior-weighted mean of per-permutation scores over all of S_N.
 
@@ -52,8 +61,7 @@ def symmetrized_score_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.nd
     t = _check_time(t)
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    post = posterior_exact(px, py, t, cap)
-    return (post.mean_matched_points(px) - py) / (2.0 * t)
+    return _exact_scores(px[None], py[None], np.array([t]), cap)[0]
 
 
 def symmetrized_score_mcmc(
@@ -106,27 +114,18 @@ def ou_conditional_scores_batch(
 ) -> np.ndarray:
     """Exact conditional scores for a batch of (x0, y, t) triples at once.
 
-    Equivalent to stacking ou_conditional_score_exact over the batch; one
-    einsum chain over the shared permutation table instead of B posterior
-    objects.
+    Equivalent to stacking ou_conditional_score_exact over the batch: one
+    pass of the exact score core at (decay * x0, y, tau) for all B triples.
     """
     xb = np.asarray(x0_batch, dtype=float)
     yb = np.asarray(y_batch, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if xb.shape != yb.shape or xb.ndim != 3 or ts.shape != (xb.shape[0],):
         raise DomainError("expected (B, n, d) clouds with matching (B,) times")
-    if np.any(ts <= 0.0):
+    if not np.all(ts > 0.0):
         raise DomainError("times must be positive")
-    n = xb.shape[1]
-    perms = permutation_array(n, cap)
-    decay = np.exp(-0.5 * ts)
-    var = 1.0 - np.exp(-ts)
-    matched = (decay[:, None, None] * xb)[:, perms, :]  # (B, n!, n, d)
-    diff = matched - yb[:, None, :, :]
-    logw = -np.einsum("bpnd,bpnd->bp", diff, diff) / (2.0 * var[:, None])
-    logw -= logsumexp(logw, axis=1)[:, None]
-    mean_matched = np.einsum("bp,bpnd->bnd", np.exp(logw), matched)
-    return (mean_matched - yb) / var[:, None, None]
+    tau = (1.0 - np.exp(-ts)) / 2.0
+    return _exact_scores(np.exp(-0.5 * ts)[:, None, None] * xb, yb, tau, cap)
 
 
 @dataclass(frozen=True)
@@ -150,17 +149,14 @@ def elbo(r: PermDistribution, x, y, t: float, cap: int = ENUMERATION_CAP) -> Elb
     weights over the full canonical enumeration of S_N; empirical sample
     sets carry no density, so their entropy is undefined.
     """
-    t = _check_time(t)
     if r.mode != EXACT:
         raise DomainError("elbo requires an exact-mode distribution over all of S_N")
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
-    n = px.shape[0]
-    perms = permutation_array(n, cap)
+    entries = cost_matrix(x, y, t).entries
+    perms = permutation_array(entries.shape[0], cap)
     if r.support.shape != perms.shape or not np.array_equal(r.support, perms):
         raise DomainError("variational support must be the canonical enumeration of S_N")
 
-    ivals = -(pairwise_sq_dists(px, py)[perms, np.arange(n)].sum(axis=1)) / (4.0 * t)
+    ivals = _perm_sums(entries, cap)
     log_evidence = float(logsumexp(ivals))
     probs = r.probabilities()
     nz = probs > 0.0

@@ -223,6 +223,16 @@ def _step_scale(it: int, iterations: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * (it - warmup) / (iterations - warmup)))
 
 
+def _weighted_loss_grad(
+    net: EquivariantNet, yb: np.ndarray, ts: np.ndarray, targets: np.ndarray, weighting: str
+) -> tuple[float, np.ndarray]:
+    """Batch mean of the weighted squared error against targets, and its flat gradient."""
+    resid = net.forward(yb, ts) - targets
+    w = np.array([_loss_weight(weighting, float(t)) for t in ts])
+    loss = float((w * (resid * resid).sum(axis=(1, 2))).mean())
+    return loss, net.backprop(yb, ts, 2.0 * w[:, None, None] * resid / len(ts))
+
+
 def _sample_times(rng, count: int, t_min: float, horizon: float) -> np.ndarray:
     # Log-uniform on [t_min, horizon]: covers concentrated and diffuse regimes.
     lo, hi = math.log(t_min), math.log(horizon)
@@ -242,10 +252,11 @@ def dsm_loss(
     """Draw a noised cloud, regress the net onto the symmetrized score.
 
     Returns the (optionally weighted) squared error and its flat parameter
-    gradient. With stochastic MCMC targets the parameter gradient is an
-    unbiased estimate of the exact-target gradient, because the target
-    enters the squared error linearly; the loss itself acquires a constant
-    offset equal to the target variance.
+    gradient, as the trainer computes them for a batch of one. With
+    stochastic MCMC targets the parameter gradient is an unbiased estimate
+    of the exact-target gradient, because the target enters the squared
+    error linearly; the loss itself acquires a constant offset equal to the
+    target variance.
     """
     t = _check_time(t)
     px = as_points(x0)
@@ -260,12 +271,7 @@ def dsm_loss(
         target = ou_conditional_score_mcmc(px, y, t, cfg)
     else:
         raise DomainError(f"unknown target mode {target_mode!r}")
-    w = _loss_weight(weighting, t)
-    out = net.forward_single(y, t)
-    resid = out - target
-    loss = w * float((resid * resid).sum())
-    grad = net.backprop(y[None], np.array([t]), (2.0 * w * resid)[None])
-    return loss, grad
+    return _weighted_loss_grad(net, y[None], np.array([t]), target[None], weighting)
 
 
 @dataclass
@@ -412,15 +418,11 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
             for bi in range(cfg.batch_size):
                 mcfg = McmcConfig(k=cfg.mcmc_k, seed=int(rng.integers(2**63)))
                 targets[bi] = ou_conditional_score_mcmc(xb[bi], yb[bi], float(ts[bi]), mcfg)
-        out = net.forward(yb, ts)
-        resid = out - targets
-        w = np.array([_loss_weight(cfg.weighting, float(t)) for t in ts])
-        loss = float((w * (resid * resid).sum(axis=(1, 2))).mean())
+        loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
         if not math.isfinite(loss) or loss > cfg.divergence_threshold:
             raise TrainingDiverged(
                 f"loss {loss} at iteration {it} exceeded {cfg.divergence_threshold}"
             )
-        grad = net.backprop(yb, ts, 2.0 * w[:, None, None] * resid / cfg.batch_size)
         step = cfg.step_size * _step_scale(it, cfg.iterations)
         if cfg.optimizer == "adam":
             adam_m = 0.9 * adam_m + 0.1 * grad

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one printed
 pass/fail line per criterion plus timings. The toy-generation criterion
-trains a model and takes several minutes; everything else is fast.
+trains a model and takes 145-150 s on a 2-vCPU machine; everything else is
+fast.
 """
 
 import itertools

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from permdiff import cli
+from permdiff import bench, cli
 from permdiff.io import write_cloud_text, write_dataset
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -310,3 +310,29 @@ class TestBenchCommands:
         rec = validate_lines(out, "gen-report.json")[0]
         assert rec["trained"] is False
         assert 0.0 <= rec["p_value"] <= 1.0
+
+    def test_bench_gen_passes_train_flags_to_config(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_run(dataset, train_cfg, schedule, **kwargs):
+            seen.append(train_cfg)
+            return bench.GenReport(0, 0, 0.0, 1.0, trained=False)
+
+        monkeypatch.setattr(bench, "run_toy_generation", fake_run)
+        code, _, _ = run_cli(
+            capsys,
+            ["bench-gen", "--kind", "ring", "--items", "8", "--momentum", "0.5",
+             "--target-mode", "mcmc", "--mcmc-k", "7", "--weighting", "variance-scaled",
+             "--holdout-fraction", "0.25", "--eval-every", "9", "--width", "8",
+             "--depth", "3", "--seed", "4"],
+        )
+        assert code == 0
+        (cfg,) = seen
+        assert cfg.momentum == 0.5
+        assert cfg.target_mode == "mcmc"
+        assert cfg.mcmc_k == 7
+        assert cfg.weighting == "variance-scaled"
+        assert cfg.holdout_fraction == 0.25
+        assert cfg.eval_every == 9
+        assert cfg.widths == (8, 8, 8)
+        assert cfg.seed == 4

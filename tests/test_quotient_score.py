@@ -22,6 +22,7 @@ from permdiff.quotient_score import (
     elbo,
     ou_conditional_score_exact,
     ou_conditional_score_mcmc,
+    ou_conditional_scores_batch,
     per_perm_score,
     symmetrized_score_exact,
     symmetrized_score_mcmc,
@@ -188,6 +189,49 @@ class TestOuConditionalScore:
         exact = ou_conditional_score_exact(x0, y, t)
         est = ou_conditional_score_mcmc(x0, y, t, McmcConfig(k=64, seed=3))
         np.testing.assert_allclose(est, exact, atol=1e-6)
+
+
+def ou_score_by_itertools(x0, y, t):
+    """Posterior mean over itertools.permutations of (decay x0[s] - y) / variance."""
+    decay, var = math.exp(-0.5 * t), 1.0 - math.exp(-t)
+    matched = [decay * x0[list(s)] for s in itertools.permutations(range(len(x0)))]
+    logw = np.array([-((m - y) ** 2).sum() / (2.0 * var) for m in matched])
+    w = np.exp(logw - logw.max())
+    mean = sum(wk * m for wk, m in zip(w / w.sum(), matched))
+    return (mean - y) / var
+
+
+class TestOuConditionalScoresBatch:
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_rows_match_single_score_and_itertools_sum(self, n):
+        rng = np.random.default_rng(20 + n)
+        ts = np.repeat([1e-3, 0.5, 5.0], 2)
+        x0 = rng.standard_normal((ts.size, n, 2))
+        decay, std = np.exp(-0.5 * ts), np.sqrt(1.0 - np.exp(-ts))
+        y = decay[:, None, None] * x0 + std[:, None, None] * rng.standard_normal(x0.shape)
+        batch = ou_conditional_scores_batch(x0, y, ts)
+        assert batch.shape == x0.shape
+        for b, t in enumerate(ts):
+            single = ou_conditional_score_exact(x0[b], y[b], t)
+            scale = np.abs(single).max()
+            np.testing.assert_allclose(batch[b], single, rtol=1e-12, atol=1e-12 * scale)
+            brute = ou_score_by_itertools(x0[b], y[b], t)
+            np.testing.assert_allclose(batch[b], brute, rtol=1e-9, atol=1e-9 * scale)
+
+    def test_rejects_bad_shapes_and_times(self):
+        x0 = np.zeros((2, 3, 2))
+        ts = np.array([0.5, 1.0])
+        for xb, yb, tb in [
+            (x0, np.zeros((2, 3, 1)), ts),
+            (x0, np.zeros((2, 4, 2)), ts),
+            (x0[0], x0[0], ts[:1]),
+            (x0, x0, np.array([0.5, 1.0, 2.0])),
+            (x0, x0, np.array([0.5, 0.0])),
+            (x0, x0, np.array([-1.0, 1.0])),
+            (x0, x0, np.array([0.5, np.nan])),
+        ]:
+            with pytest.raises(DomainError):
+                ou_conditional_scores_batch(xb, yb, tb)
 
 
 class TestElbo:
