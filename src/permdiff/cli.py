@@ -3,8 +3,8 @@
 Data goes to stdout or --out files; logs go to stderr. Every subcommand
 that draws randomness funnels it through a single --seed flag, and seeded
 invocations are bitwise reproducible. Exit codes: 0 success, 2 usage,
-3 file not found, 4 parse error, 5 enumeration capacity, 6 domain error,
-7 training divergence.
+3 file not found, 4 parse error, 5 enumeration capacity, 6 domain error
+(including a failing score callback), 7 training divergence.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ _ERROR_CODES = {
     "capacity": EXIT_CAPACITY,
     "domain": EXIT_DOMAIN,
     "shape-mismatch": EXIT_DOMAIN,
+    "score-callback": EXIT_DOMAIN,
     "diverged": EXIT_DIVERGED,
     "file-not-found": EXIT_FILE_NOT_FOUND,
 }
@@ -179,8 +180,10 @@ _TRAIN_KEYS = {
     "t_min": float,
     "horizon": float,
     "target_mode": str,
+    "optimizer": str,
     "mcmc_k": int,
     "weighting": str,
+    "output_scale": str,
     "width": int,
     "depth": int,
     "holdout_fraction": float,
@@ -221,8 +224,10 @@ def _train_config(args, argv) -> TrainConfig:
         "t_min": args.t_min,
         "horizon": args.horizon,
         "target_mode": args.target_mode,
+        "optimizer": args.optimizer,
         "mcmc_k": args.mcmc_k,
         "weighting": args.weighting,
+        "output_scale": args.output_scale,
         "width": args.width,
         "depth": args.depth,
         "holdout_fraction": args.holdout_fraction,
@@ -369,8 +374,12 @@ def _add_train_flags(p):
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--t-min", type=float, default=1e-2, dest="t_min")
     p.add_argument("--target-mode", choices=("exact", "mcmc"), default="exact", dest="target_mode")
+    p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     p.add_argument("--mcmc-k", type=int, default=32, dest="mcmc_k")
     p.add_argument("--weighting", choices=("none", "variance-scaled"), default="none")
+    p.add_argument(
+        "--output-scale", choices=("none", "noise"), default="none", dest="output_scale"
+    )
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--depth", type=int, default=2, help="number of hidden layers")
     p.add_argument("--holdout-fraction", type=float, default=0.1, dest="holdout_fraction")

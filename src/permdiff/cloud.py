@@ -200,14 +200,18 @@ def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
             i += 1
 
 
-@lru_cache(maxsize=None)
 def permutation_array(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All n! permutations as an (n!, n) index array, cached per n.
+    """All n! permutations as a read-only (n!, n) index array, cached per n.
 
     Raises CapacityError above the enumeration cap; callers wanting larger N
     should switch to the MCMC estimators.
     """
     check_enumeration_cap(n, cap)
+    return _permutation_table(n)
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(n: int) -> np.ndarray:
     arr = np.array(list(iter_permutations(n)), dtype=np.intp)
     assert arr.shape == (math.factorial(n), n)
     arr.setflags(write=False)

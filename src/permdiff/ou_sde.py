@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -158,6 +158,49 @@ def quotient_marginal_log_density(
     return float(logsumexp(logs) - math.log(len(logs)))
 
 
+def _reverse_steps(
+    y: np.ndarray,
+    schedule: NoiseSchedule,
+    score_fn: Callable[[np.ndarray, float], np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    t_min: float = REVERSE_T_MIN,
+) -> Iterator[np.ndarray]:
+    """Euler-Maruyama for dy = [-y/2 - score] dt + dw on a stack of clouds.
+
+    ``y`` is (B, N, d) and ``score_fn(y, t)`` scores the whole stack at one
+    time. Runs from T down to 0 and yields the state after each step. The
+    drift bracket is multiplied by the negative step dt = t_{k-1} - t_k, so
+    one update reads y <- y + (y/2 + score) * |dt| + sqrt(|dt|) * noise,
+    where cloud b draws one (N, d) standard normal per step from
+    ``rngs[b]``. Score evaluation times are clamped below at ``t_min``; a
+    score that raises, has the wrong shape or is not finite raises
+    ScoreCallbackError naming the step and time.
+    """
+    grid = schedule.grid
+    for k in range(schedule.steps, 0, -1):
+        dt = float(grid[k - 1] - grid[k])
+        t_eval = max(float(grid[k]), t_min)
+        step = schedule.steps - k
+        try:
+            score = np.asarray(score_fn(y, t_eval), dtype=float)
+        except Exception as exc:
+            raise ScoreCallbackError(f"score callback failed at step {step}, t={t_eval}") from exc
+        if score.shape != y.shape:
+            raise ScoreCallbackError(
+                f"score shape {score.shape} does not match state shape {y.shape}"
+                f" at step {step}, t={t_eval}"
+            )
+        if not np.isfinite(score).all():
+            raise ScoreCallbackError(
+                f"score callback returned non-finite values at step {step}, t={t_eval}"
+            )
+        noise = np.empty_like(y)
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        y = y + (-0.5 * y - score) * dt + math.sqrt(-dt) * noise
+        yield y
+
+
 def reverse_integrate(
     yT,
     schedule: NoiseSchedule,
@@ -165,38 +208,23 @@ def reverse_integrate(
     seed,
     t_min: float = REVERSE_T_MIN,
 ) -> Trajectory:
-    """Euler-Maruyama for dy = [-y/2 - score] dt + dw, run from T down to 0.
+    """Euler-Maruyama for dy = [-y/2 - score] dt + dw on one cloud, T down to 0.
 
-    The drift bracket is multiplied by the negative step dt = t_{k-1} - t_k,
-    so one update reads y <- y + (y/2 + score) * |dt| + sqrt(|dt|) * noise.
-    Score evaluation times are clamped below at ``t_min``. The recorded
-    times descend from T to 0 and the final state is canonicalized.
+    The one-cloud case of ``_reverse_steps``: ``score_fn`` maps an (N, d)
+    state and a time to an (N, d) score. Every state is recorded; the
+    recorded times descend from T to 0 and the final state is canonicalized.
     """
     py = as_points(yT)
     rng = np.random.default_rng(seed)
-    grid = schedule.grid
+
+    def stacked_score(y, t):
+        return np.asarray(score_fn(y[0], t), dtype=float)[None]
+
     states = [PointCloud(py)]
-    y = py.copy()
-    for k in range(schedule.steps, 0, -1):
-        t_k = float(grid[k])
-        dt = float(grid[k - 1] - grid[k])
-        t_eval = max(t_k, t_min)
-        try:
-            score = np.asarray(score_fn(y, t_eval), dtype=float)
-        except Exception as exc:
-            raise ScoreCallbackError(
-                f"score callback failed at step {schedule.steps - k}, t={t_eval}"
-            ) from exc
-        if score.shape != y.shape:
-            raise ScoreCallbackError(
-                f"score shape {score.shape} does not match state shape {y.shape}"
-            )
-        drift = -0.5 * y - score
-        y = y + drift * dt + math.sqrt(-dt) * rng.standard_normal(y.shape)
-        if k == 1:
-            y = canonicalize(y).points.copy()
-        states.append(PointCloud(y))
-    return Trajectory(times=grid[::-1].copy(), states=tuple(states))
+    for y in _reverse_steps(py[None], schedule, stacked_score, [rng], t_min):
+        states.append(PointCloud(y[0]))
+    states[-1] = canonicalize(states[-1]).representative
+    return Trajectory(times=schedule.grid[::-1].copy(), states=tuple(states))
 
 
 def identity_exchange_trace(

@@ -112,7 +112,7 @@ def exact_from_log_weights(
             f"expected {math.factorial(n)} log weights for S_{n}, got {lw.shape}"
         )
     lw = lw - logsumexp(lw)
-    return PermDistribution(permutation_array(n, cap).copy(), lw, EXACT)
+    return PermDistribution(permutation_array(n, cap), lw, EXACT)
 
 
 def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribution:

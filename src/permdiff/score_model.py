@@ -27,7 +27,7 @@ import numpy as np
 from .cloud import ENUMERATION_CAP, PointCloud, QuotientPoint, as_points
 from .errors import DomainError, ParseError, ShapeMismatchError, TrainingDiverged
 from .heat_kernel import _check_time
-from .ou_sde import NoiseSchedule, canonicalize, ou_transition, reverse_integrate
+from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_transition
 from .perm_mcmc import McmcConfig
 from .quotient_score import (
     ou_conditional_score_exact,
@@ -460,20 +460,25 @@ def _config_dict(cfg: TrainConfig) -> dict:
 def checkpoint_score_fn(ckpt: Checkpoint):
     """Score callback for a trained model, valid at all times t > 0.
 
-    Below the trained t_min the network is queried at the floor and the
-    known 1/(1 - e^{-t}) scale of the conditional score is reinstated
-    analytically; the smooth denoising direction extrapolates, the singular
-    prefactor does not need to.
+    The callback scores one cloud (N, d) or a stack of clouds (B, N, d), the
+    stack with one batched network call. Below the trained t_min the network
+    is queried at the floor and the known 1/(1 - e^{-t}) scale of the
+    conditional score is reinstated analytically; the smooth denoising
+    direction extrapolates, the singular prefactor does not need to.
     """
     net = ckpt.build_net()
     t_floor = float(ckpt.train_config.get("t_min", 1e-2))
     v_floor = 1.0 - math.exp(-t_floor)
 
     def score_fn(y, t):
+        t_net = max(t, t_floor)
+        if np.ndim(y) == 3:
+            out = net.forward(y, np.full(len(y), t_net))
+        else:
+            out = net.forward_single(y, t_net)
         if t >= t_floor:
-            return net.forward_single(y, t)
-        scale = v_floor / (1.0 - math.exp(-t))
-        return scale * net.forward_single(y, t_floor)
+            return out
+        return (v_floor / (1.0 - math.exp(-t))) * out
 
     return score_fn
 
@@ -484,14 +489,19 @@ def sample_from_model(
     schedule: NoiseSchedule,
     seed: int,
 ) -> list[QuotientPoint]:
-    """Draw stationary noise and integrate the learned reverse dynamics."""
+    """Draw stationary noise and integrate the learned reverse dynamics.
+
+    All clouds are integrated together as one (n_samples, N, d) state, with
+    one batched network call per step. Cloud i draws its terminal noise and
+    then its per-step noise from child i of ``SeedSequence(seed)``, so it
+    follows the same path as ``reverse_integrate`` would give it alone, up
+    to the rounding of the batched matrix products.
+    """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    score_fn = checkpoint_score_fn(ckpt)
-    samples = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
-        y_t = rng.standard_normal((ckpt.n_points, ckpt.point_dim))
-        traj = reverse_integrate(y_t, schedule, score_fn, rng)
-        samples.append(canonicalize(traj.states[-1]))
-    return samples
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_samples)]
+    y = np.stack([rng.standard_normal((ckpt.n_points, ckpt.point_dim)) for rng in rngs])
+    # Keep only the current state of the stack.
+    for y in _reverse_steps(y, schedule, checkpoint_score_fn(ckpt), rngs):
+        pass
+    return [canonicalize(cloud) for cloud in y]

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +12,7 @@ import pytest
 
 from permdiff import bench, cli
 from permdiff.io import write_cloud_text, write_dataset
+from permdiff.score_model import TrainConfig, train
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -110,6 +113,48 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["kernel", "--x", x, "--y", y, "--t", "-1"])
         assert code == cli.EXIT_DOMAIN
         assert "category=domain" in err
+
+    def test_non_finite_score_callback(self, capsys, tmp_path):
+        ckpt = train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(4,), seed=0))
+        ckpt.params = np.full_like(ckpt.params, np.nan)
+        path = tmp_path / "nan.ckpt"
+        ckpt.save(path)
+        code, out, err = run_cli(
+            capsys, ["sample", "--checkpoint", str(path), "--n", "2", "--steps", "8"]
+        )
+        assert code == cli.EXIT_DOMAIN
+        assert err.startswith("error: category=score-callback")
+        assert "step 0" in err
+        assert out == ""
+
+
+def readme_command_lines():
+    """Every ``permdiff ...`` line of README's code blocks, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("permdiff ")]
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        lines = readme_command_lines()
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+
+    def test_train_flags_and_config_keys_reach_config(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["bench-gen", "--kind", "ring", "--optimizer", "adam", "--output-scale", "noise"]
+        )
+        cfg = cli._train_config(args, [])
+        assert (cfg.optimizer, cfg.output_scale) == ("adam", "noise")
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text("optimizer = adam\noutput-scale = noise\n")
+        argv = ["train", "--data", "d.jsonl", "--out", "m.ckpt", "--config", str(cfg_file)]
+        cfg = cli._train_config(cli.build_parser().parse_args(argv), argv)
+        assert (cfg.optimizer, cfg.output_scale) == ("adam", "noise")
 
 
 class TestPosterior:

@@ -285,6 +285,16 @@ class TestReverseIntegrate:
         with pytest.raises(ScoreCallbackError):
             reverse_integrate(np.zeros((2, 1)), sched, lambda y, t: np.zeros(3), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_reports_step_and_time(self, bad):
+        sched = NoiseSchedule.uniform(1.0, 10)
+
+        def score(y, t):
+            return np.full_like(y, bad) if t < 0.75 else -y
+
+        with pytest.raises(ScoreCallbackError, match=r"non-finite .* step 3, t=0\.7"):
+            reverse_integrate(np.zeros((2, 1)), sched, score, 0)
+
 
 class TestForwardTrajectoryAndTrace:
     def test_grid_recorded(self):

@@ -116,6 +116,13 @@ class TestPosteriorExact:
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(marg.sum(axis=0), 1.0, atol=1e-12)
 
+    def test_support_is_the_cached_read_only_table(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        support = posterior_exact(x, y, 0.5).support
+        assert np.shares_memory(support, permutation_array(5))
+        assert not support.flags.writeable
+
 
 def chain_transition_prob(entries, sigma, sigma_prime, always_accept=False):
     """Exact one-step transition probability of the implemented chain.

@@ -8,7 +8,7 @@ import pytest
 
 from permdiff.cloud import Permutation, apply
 from permdiff.errors import DomainError, TrainingDiverged
-from permdiff.ou_sde import NoiseSchedule, ou_transition
+from permdiff.ou_sde import NoiseSchedule, ou_transition, reverse_integrate
 from permdiff.perm_mcmc import McmcConfig
 from permdiff.quotient_score import ou_conditional_score_exact
 from permdiff.score_model import (
@@ -295,3 +295,56 @@ class TestSampleFromModel:
         below = fn(y, t_floor / 10.0)
         expected_scale = (1.0 - math.exp(-t_floor)) / (1.0 - math.exp(-t_floor / 10.0))
         np.testing.assert_allclose(below, at_floor * expected_scale, rtol=1e-12)
+
+
+class TestBatchedSampling:
+    """sample_from_model integrates all clouds as one stack."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self):
+        rng = np.random.default_rng(46)
+        data = [rng.standard_normal((3, 2)) for _ in range(6)]
+        return train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,), seed=47))
+
+    @staticmethod
+    def per_cloud(ckpt, n_samples, sched, seed):
+        # One reverse_integrate per cloud, on the cloud's own seed stream.
+        score_fn = checkpoint_score_fn(ckpt)
+        finals = []
+        for child in np.random.SeedSequence(seed).spawn(n_samples):
+            rng = np.random.default_rng(child)
+            y_t = rng.standard_normal((ckpt.n_points, ckpt.point_dim))
+            finals.append(reverse_integrate(y_t, sched, score_fn, rng).states[-1].points)
+        return finals
+
+    def test_each_cloud_matches_per_cloud_integration(self, ckpt):
+        sched = NoiseSchedule.geometric(1.0, 16, 1e-2)
+        batched = sample_from_model(ckpt, 5, sched, seed=48)
+        reference = self.per_cloud(ckpt, 5, sched, seed=48)
+        assert len(batched) == 5
+        for q, ref in zip(batched, reference):
+            np.testing.assert_allclose(q.points, ref, rtol=0, atol=1e-12)
+
+    def test_first_cloud_does_not_depend_on_batch_size(self, ckpt):
+        sched = NoiseSchedule.geometric(1.0, 16, 1e-2)
+        one = sample_from_model(ckpt, 1, sched, seed=49)
+        five = sample_from_model(ckpt, 5, sched, seed=49)
+        np.testing.assert_allclose(one[0].points, five[0].points, rtol=0, atol=1e-12)
+
+    def test_grid_below_training_floor(self, ckpt):
+        sched = NoiseSchedule.geometric(1.0, 16, 1e-4)
+        assert sched.grid[1] < ckpt.train_config["t_min"]
+        batched = sample_from_model(ckpt, 5, sched, seed=50)
+        reference = self.per_cloud(ckpt, 5, sched, seed=50)
+        for q, ref in zip(batched, reference):
+            np.testing.assert_allclose(q.points, ref, rtol=0, atol=1e-12)
+
+    def test_stacked_score_extrapolates_below_floor(self, ckpt):
+        fn = checkpoint_score_fn(ckpt)
+        ys = np.random.default_rng(51).standard_normal((4, 3, 2))
+        t_floor = ckpt.train_config["t_min"]
+        below = fn(ys, t_floor / 10.0)
+        expected_scale = (1.0 - math.exp(-t_floor)) / (1.0 - math.exp(-t_floor / 10.0))
+        np.testing.assert_allclose(below, fn(ys, t_floor) * expected_scale, rtol=1e-12)
+        for y, row in zip(ys, below):
+            np.testing.assert_allclose(row, fn(y, t_floor / 10.0), rtol=0, atol=1e-12)
