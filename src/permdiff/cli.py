@@ -3,7 +3,7 @@
 Data goes to stdout or --out files; logs go to stderr. Every subcommand
 that draws randomness funnels it through a single --seed flag, and seeded
 invocations are bitwise reproducible. Exit codes: 0 success, 2 usage,
-3 file not found, 4 parse error, 5 enumeration capacity, 6 domain error
+3 file not found, 4 parse error, 5 exact-evaluation capacity, 6 domain error
 (including a failing score callback), 7 training divergence.
 """
 
@@ -324,7 +324,7 @@ def _add_cloud_pair(p):
 def _add_common(p):
     p.add_argument("--out", help="write data here instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for all randomness")
-    p.add_argument("--cap", type=int, default=9, help="exact enumeration cap on N")
+    p.add_argument("--cap", type=int, default=9, help="largest N for exact evaluation")
     p.add_argument("--elements", help="comma-separated element table for .xyz input")
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument(
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=5.0)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=9)
     p.add_argument("--elements")
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("--threads", type=int, default=int(os.environ.get("PERMDIFF_THREADS", "1")))

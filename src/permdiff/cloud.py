@@ -16,10 +16,10 @@ from typing import Iterator
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import CapacityError, DomainError, ShapeMismatchError
 
-# Largest N for which enumeration over all N! permutations is allowed.
-# 9! = 362880 terms keeps a single exact evaluation around a second.
+# Default cap on N for exact evaluation, by enumeration or by the subset DP.
+# 9! = 362880 terms keeps a single enumeration around a second.
 ENUMERATION_CAP = 9
 
 
@@ -219,10 +219,8 @@ def _permutation_table(n: int) -> np.ndarray:
 
 
 def check_enumeration_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    from .errors import CapacityError
-
     if n > cap:
         raise CapacityError(
-            f"exact enumeration over {n}! permutations exceeds the cap of {cap}; "
+            f"exact evaluation over all {n}! permutations exceeds the cap of N <= {cap}; "
             "use the MCMC estimator instead"
         )

@@ -23,7 +23,7 @@ class DomainError(PermdiffError):
 
 
 class CapacityError(PermdiffError):
-    """Exact enumeration over all N! permutations was requested above the cap."""
+    """An exact sum over S_N was requested above the caller's cap on N or the DP ceiling."""
 
     category = "capacity"
 

@@ -4,28 +4,44 @@ The quotient kernel is the sum of Euclidean Gaussian kernels over all N!
 relabelings of the second argument. Everything is computed in log domain:
 at small times the permutation sum spans hundreds of orders of magnitude.
 
-``_perm_sums`` and ``_assignment_marginals`` are the package's one exact
-core over S_N: the kernel, the transition density, the exact posterior, the
-ELBO, the exact scores and training targets all get their permutation sums
-and assignment marginals from these two functions.
+Two exact cores serve every sum over S_N:
+
+- ``_subset_dp`` gives log Z = log sum_s exp(sum_j C[s(j), j]) and the
+  assignment marginals of a batch of N x N log affinities by a dynamic
+  program over point subsets (Bellman / Held-Karp), in O(N 2^N) time and
+  memory per matrix, for N <= ``DP_CEILING``. The kernel, the transition
+  and marginal densities, the exact scores and the training targets use it.
+- ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
+  They stay where a weight is needed for every permutation or a set of
+  sampled permutations is given: the per-permutation kernel terms, the
+  exact posterior, the ELBO, the assignment trace and MCMC distributions.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cloud import (
     ENUMERATION_CAP,
     as_points,
+    check_enumeration_cap,
     check_same_shape,
     pairwise_sq_dists,
     permutation_array,
 )
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+# Largest N the subset DP accepts, whatever the caller's cap: it keeps
+# N 2^(N-1) local weights per matrix, 4 MB at N = 16.
+DP_CEILING = 16
+# Matrices per DP pass are limited so that each pass keeps at most about this
+# many weights and temporaries (32 MB); the passes are independent.
+_DP_BUDGET = 1 << 22
+_NEG_MAX = -np.finfo(float).max
 
 
 def _check_time(t: float) -> float:
@@ -70,6 +86,108 @@ def _assignment_marginals(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return marg.reshape(*probs.shape[:-1], n, n)
 
 
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple:
+    """Index tables of the subsets of {0, .., n-1}, one tuple per size m = 1..n.
+
+    Layer m lists its C(n, m) subsets in increasing bitmask order; L_m is
+    its length. Per layer:
+
+    - ``members`` (m, L_m): column T holds the members of subset T, ascending;
+    - ``pred`` (m, L_m): the index in layer m - 1 of the subset without
+      that member;
+    - ``by_pred`` (n - m + 1, L_{m-1}): the flat positions r * L_m + T of
+      the (m, L_m) layout, column S holding those whose predecessor is S;
+    - ``by_member`` (C(n-1, m-1), n): the same positions, column i holding
+      those whose member is i.
+    """
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    popcount = bits.sum(axis=1)
+    rank = np.zeros(1 << n, dtype=np.intp)
+    layers = []
+    for m in range(1, n + 1):
+        layer = np.flatnonzero(popcount == m)
+        members = np.nonzero(bits[layer])[1].reshape(layer.size, m).T.copy()
+        pred = rank[layer ^ (1 << members)]
+        rank[layer] = np.arange(layer.size)
+        by_pred = np.argsort(pred.ravel(), kind="stable").reshape(-1, n - m + 1).T.copy()
+        by_member = np.argsort(members.ravel(), kind="stable").reshape(n, -1).T.copy()
+        for table in (members, pred, by_pred, by_member):
+            table.setflags(write=False)
+        layers.append((members, pred, by_pred, by_member))
+    return tuple(layers)
+
+
+def _subset_dp(
+    log_aff: np.ndarray, cap: int = ENUMERATION_CAP, marginals: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """log Z and assignment marginals of B log-affinity matrices, (B, N, N).
+
+    Z = sum over permutations s of exp(sum_j log_aff[b, s(j), j]): slot j
+    takes point s(j). P[b, i, j] is the posterior probability that slot j
+    takes point i; rows and columns of P sum to 1. Returns (log Z (B,),
+    P (B, N, N)), or (log Z, None) when ``marginals`` is false.
+
+    Forward pass: slots are filled in order, slot m - 1 taking any point not
+    yet used, so f[T] = lse_{i in T} (f[T - i] + log_aff[i, |T| - 1]) and
+    log Z = f[all]. Each log-sum-exp is shifted by its own maximum. The
+    local softmax weights w[T, i] = exp(f[T - i] + log_aff[i, |T| - 1] - f[T])
+    are the law of the point in slot |T| - 1 given that slots 0..|T| - 1
+    hold T. The backward pass pushes probability from the full set down the
+    layers with these weights: the mass a[T] of "slots 0..|T| - 1 hold T"
+    equals exp(f[T] + g[T] - log Z), with g the backward DP over the
+    remaining slots, and P[i, |T| - 1] sums a[T] w[T, i]. Working with
+    weights in [0, 1] keeps P exact where log Z is of the order 1e300 and
+    differences of log-domain sums would round away.
+
+    Arrays keep the batch on the last axis, so that every reduction runs
+    over the first axis of a gather, as a sequence of vector operations.
+
+    Raises CapacityError above ``cap`` or above ``DP_CEILING``.
+    """
+    b, n, _ = log_aff.shape
+    check_enumeration_cap(n, cap)
+    if n > DP_CEILING:
+        raise CapacityError(
+            f"the exact subset DP is limited to N <= {DP_CEILING} (its memory grows as "
+            f"N 2^N), got N = {n}; use the MCMC estimator instead"
+        )
+    rows = max(1, _DP_BUDGET // (n << n))
+    if b > rows:
+        parts = [_subset_dp(log_aff[i : i + rows], cap, marginals) for i in range(0, b, rows)]
+        log_z = np.concatenate([p[0] for p in parts])
+        return log_z, np.concatenate([p[1] for p in parts]) if marginals else None
+    tables = _subset_tables(n)
+    by_slot = np.ascontiguousarray(log_aff.transpose(2, 1, 0))  # [j, i, b] = log_aff[b, i, j]
+    f = by_slot[0]  # layer 1: subset {i} is point i in slot 0, with weight 1
+    weights = []
+    # log(0) = -inf marks a subset no assignment reaches; it is a valid value.
+    with np.errstate(divide="ignore", over="ignore"):
+        for m in range(2, n + 1):
+            members, pred, _, _ = tables[m - 1]
+            v = f[pred] + by_slot[m - 1][members]
+            # A group of -inf terms gets a finite shift: weights 0, not NaN.
+            top = np.maximum(np.maximum.reduce(v), _NEG_MAX)
+            e = np.exp(v - top)
+            s = np.add.reduce(e)
+            f = top + np.log(s)
+            if marginals:
+                # s >= 1 unless every term is -inf, where the weights are 0.
+                weights.append(e / np.maximum(s, 1.0))
+    if not marginals:
+        return f[0], None
+    marg = np.empty((n, n, b))  # [j, i, b] = P[b, i, j]
+    mass = 1.0
+    for m in range(n, 1, -1):
+        _, _, by_pred, by_member = tables[m - 1]
+        flow = (mass * weights[m - 2]).reshape(-1, b)
+        marg[m - 1] = np.add.reduce(flow[by_member])
+        mass = np.add.reduce(flow[by_pred])
+    marg[0] = mass
+    return f[0], marg.transpose(2, 1, 0)
+
+
 def euclid_log_heat_kernel(x, y, t: float) -> float:
     """log of the Gaussian heat kernel: -(dN/2) log(4 pi t) - ||x-y||^2 / (4t)."""
     t = _check_time(t)
@@ -95,7 +213,12 @@ def quotient_log_kernel_terms(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.
 
 def quotient_log_heat_kernel_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> float:
     """log sum over all permutations sigma of the Euclidean kernel at (x, sigma(y))."""
-    return float(logsumexp(quotient_log_kernel_terms(x, y, t, cap)))
+    t = _check_time(t)
+    px, py = as_points(x), as_points(y)
+    check_same_shape(px, py)
+    n, d = px.shape
+    log_z, _ = _subset_dp(-pairwise_sq_dists(px, py)[None] / (4.0 * t), cap, marginals=False)
+    return float(-(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z[0])
 
 
 class SemigroupResidual(NamedTuple):
@@ -129,8 +252,8 @@ def quotient_kernel_semigroup_residual(
     n, d = px.shape
     rng = np.random.default_rng(seed)
     z = px[None, :, :] + math.sqrt(2.0 * s) * rng.standard_normal((m, n, d))
-    terms = _perm_sums(-pairwise_sq_dists(z, py) / (4.0 * t), cap)
-    log_vals = -(d * n / 2.0) * math.log(4.0 * math.pi * t) + logsumexp(terms, axis=1)
+    log_z, _ = _subset_dp(-pairwise_sq_dists(z, py) / (4.0 * t), cap, marginals=False)
+    log_vals = -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
     vals = np.exp(log_vals)
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")

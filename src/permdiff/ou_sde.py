@@ -28,7 +28,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError, ScoreCallbackError
-from .heat_kernel import _check_time, _perm_sums
+from .heat_kernel import _check_time, _perm_sums, _subset_dp
 
 # Score callbacks are never evaluated below this time; the conditional score
 # scale 1/(2t) is singular at t = 0.
@@ -135,26 +135,33 @@ def forward_trajectory(x0, schedule: NoiseSchedule, seed) -> Trajectory:
     return Trajectory(times=schedule.grid.copy(), states=tuple(states))
 
 
+def _transition_log_densities(xs: np.ndarray, y: np.ndarray, tr: OuTransition, cap: int):
+    """Quotient transition log densities from each cloud of xs (K, N, d) to y (N, d)."""
+    n, d = y.shape
+    log_z, _ = _subset_dp(-pairwise_sq_dists(tr.decay * xs, y) / (2.0 * tr.variance), cap, False)
+    return -(d * n / 2.0) * math.log(2.0 * math.pi * tr.variance) + log_z
+
+
 def quotient_transition_log_density(
     x, y, s: float, t: float, cap: int = ENUMERATION_CAP
 ) -> float:
     """log sum over sigma of N(sigma(y); decay * x, variance * I) from s to t."""
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    tr = ou_transition(s, t)
-    n, d = px.shape
-    terms = _perm_sums(-pairwise_sq_dists(tr.decay * px, py) / (2.0 * tr.variance), cap)
-    return float(-(d * n / 2.0) * math.log(2.0 * math.pi * tr.variance) + logsumexp(terms))
+    return float(_transition_log_densities(px[None], py, ou_transition(s, t), cap)[0])
 
 
 def quotient_marginal_log_density(
     dataset: Sequence, y, t: float, cap: int = ENUMERATION_CAP
 ) -> float:
     """Data-averaged marginal: log mean over dataset clouds of the transition."""
-    clouds = list(dataset)
+    clouds = [as_points(x) for x in dataset]
     if not clouds:
         raise DomainError("dataset must be nonempty")
-    logs = [quotient_transition_log_density(x, y, 0.0, t, cap) for x in clouds]
+    py = as_points(y)
+    for px in clouds:
+        check_same_shape(px, py)
+    logs = _transition_log_densities(np.stack(clouds), py, ou_transition(0.0, t), cap)
     return float(logsumexp(logs) - math.log(len(logs)))
 
 

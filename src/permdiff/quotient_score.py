@@ -2,8 +2,10 @@
 
 The gradient of the log quotient kernel in its noised argument is the
 posterior expectation over permutations of per-permutation Gaussian scores
-(the mixture-score identity). Exact evaluation enumerates S_N through the
-permutation-sum core of ``heat_kernel``; the MCMC variant averages
+(the mixture-score identity). The exact scores and training targets take
+the assignment marginals P from the subset DP of ``heat_kernel``
+(O(N 2^N), N <= 16) and return (P^T x - y) / (2t); the ELBO, which needs
+every permutation's weight, enumerates S_N. The MCMC variant averages
 per-permutation scores over posterior samples.
 """
 
@@ -24,7 +26,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _assignment_marginals, _check_time, _perm_sums
+from .heat_kernel import _check_time, _perm_sums, _subset_dp
 from .perm_mcmc import EXACT, McmcConfig, PermDistribution, cost_matrix, mcmc_sample
 
 
@@ -42,14 +44,11 @@ def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
 def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray, cap: int) -> np.ndarray:
     """Exact symmetrized scores (P^T x - y) / (2t) of B pairs: x, y (B, N, d), t (B,).
 
-    P is the posterior assignment marginal over all of S_N, from the
-    permutation sums of the cost matrices -||x_i - y_j||^2 / (4t).
+    P is the posterior assignment marginal over all of S_N, from the subset
+    DP of the cost matrices -||x_i - y_j||^2 / (4t).
     """
     t = t[:, None, None]
-    terms = _perm_sums(-pairwise_sq_dists(x, y) / (4.0 * t), cap)
-    w = np.exp(terms - terms.max(axis=1, keepdims=True))
-    probs = w / w.sum(axis=1, keepdims=True)
-    marg = _assignment_marginals(permutation_array(x.shape[1], cap), probs)
+    _, marg = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), cap)
     return (np.swapaxes(marg, 1, 2) @ x - y) / (2.0 * t)
 
 

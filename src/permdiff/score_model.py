@@ -26,7 +26,7 @@ import numpy as np
 
 from .cloud import ENUMERATION_CAP, PointCloud, QuotientPoint, as_points
 from .errors import DomainError, ParseError, ShapeMismatchError, TrainingDiverged
-from .heat_kernel import _check_time
+from .heat_kernel import DP_CEILING, _check_time
 from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_transition
 from .perm_mcmc import McmcConfig
 from .quotient_score import (
@@ -325,41 +325,63 @@ class Checkpoint:
             header = json.loads(raw[:nl].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: bad checkpoint header") from exc
-        if header.get("format") != cls.FORMAT or header.get("version") != cls.VERSION:
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != cls.FORMAT
+            or header.get("version") != cls.VERSION
+        ):
             raise ParseError(f"{path}: not a version-{cls.VERSION} checkpoint")
-        params = np.frombuffer(raw[nl + 1 :], dtype="<f8").astype(float)
-        if params.size != header["param_count"]:
-            raise ParseError(
-                f"{path}: expected {header['param_count']} parameters, found {params.size}"
+        payload = raw[nl + 1 :]
+        if len(payload) % 8:
+            raise ParseError(f"{path}: parameter block of {len(payload)} bytes is truncated")
+        params = np.frombuffer(payload, dtype="<f8").astype(float)
+        try:
+            if params.size != header["param_count"]:
+                raise ParseError(
+                    f"{path}: expected {header['param_count']} parameters, found {params.size}"
+                )
+            return cls(
+                params=params,
+                point_dim=int(header["point_dim"]),
+                n_points=int(header["n_points"]),
+                widths=tuple(int(w) for w in header["widths"]),
+                output_scale=header.get("output_scale", "none"),
+                train_config=header["train_config"],
+                iteration=int(header["iteration"]),
+                holdout_curve=[tuple(p) for p in header["holdout_curve"]],
+                train_loss_curve=[tuple(p) for p in header["train_loss_curve"]],
             )
-        return cls(
-            params=params,
-            point_dim=int(header["point_dim"]),
-            n_points=int(header["n_points"]),
-            widths=tuple(int(w) for w in header["widths"]),
-            output_scale=header.get("output_scale", "none"),
-            train_config=header["train_config"],
-            iteration=int(header["iteration"]),
-            holdout_curve=[tuple(p) for p in header["holdout_curve"]],
-            train_loss_curve=[tuple(p) for p in header["train_loss_curve"]],
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad checkpoint header field {exc}") from exc
 
 
 EVAL_PAIRS_PER_ITEM = 8
 
 
 def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
-    """Fixed (y, t, exact target) triples for comparable held-out losses."""
-    ys, ts, targets = [], [], []
+    """Fixed (y, t, target) triples for comparable held-out losses.
+
+    The targets are exact, from one batched call, up to the subset DP's
+    ceiling of N points. Above it they are MCMC targets with fixed seeds;
+    the set is frozen, so their offset from the exact targets stays the
+    same over the holdout curve.
+    """
+    xs, ys, ts = [], [], []
     for px in clouds:
         for t in _sample_times(rng, EVAL_PAIRS_PER_ITEM, cfg.t_min, cfg.horizon):
             t = float(t)
             tr = ou_transition(0.0, t)
-            y = tr.decay * px + math.sqrt(tr.variance) * rng.standard_normal(px.shape)
-            ys.append(y)
+            xs.append(px)
+            ys.append(tr.decay * px + math.sqrt(tr.variance) * rng.standard_normal(px.shape))
             ts.append(t)
-            targets.append(ou_conditional_score_exact(px, y, t))
-    return np.stack(ys), np.asarray(ts), np.stack(targets)
+    xs, ys, ts = np.stack(xs), np.stack(ys), np.asarray(ts)
+    if xs.shape[1] <= DP_CEILING:
+        return ys, ts, ou_conditional_scores_batch(xs, ys, ts, DP_CEILING)
+    targets = [
+        ou_conditional_score_mcmc(x, y, t, McmcConfig(k=cfg.mcmc_k, seed=i))
+        for i, (x, y, t) in enumerate(zip(xs, ys, ts))
+    ]
+    return ys, ts, np.stack(targets)
 
 
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:

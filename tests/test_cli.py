@@ -127,6 +127,31 @@ class TestExitCodes:
         assert "step 0" in err
         assert out == ""
 
+    def test_truncated_checkpoint(self, capsys, tmp_path):
+        ckpt = train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(4,), seed=0))
+        path = tmp_path / "cut.ckpt"
+        ckpt.save(path)
+        path.write_bytes(path.read_bytes()[:-3])
+        code, out, err = run_cli(capsys, ["sample", "--checkpoint", str(path)])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: category=parse") and "truncated" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("header", [{"format": "permdiff-checkpoint", "version": 1}, [1, 2]])
+    def test_checkpoint_header_without_fields(self, capsys, tmp_path, header):
+        path = tmp_path / "bare.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        code, out, err = run_cli(capsys, ["sample", "--checkpoint", str(path)])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: category=parse")
+        assert out == ""
+
+    def test_train_has_no_cap_flag(self, capsys):
+        argv = ["train", "--data", "d.jsonl", "--out", "o.ckpt", "--cap", "9"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_USAGE
+        assert "--cap" in err
+
 
 def readme_command_lines():
     """Every ``permdiff ...`` line of README's code blocks, continuations joined."""

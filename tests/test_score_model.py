@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from permdiff.bench import make_synthetic_dataset
 from permdiff.cloud import Permutation, apply
 from permdiff.errors import DomainError, TrainingDiverged
 from permdiff.ou_sde import NoiseSchedule, ou_transition, reverse_integrate
@@ -18,6 +19,8 @@ from permdiff.score_model import (
     checkpoint_score_fn,
     dsm_loss,
     net_forward,
+    _frozen_eval_set,
+    _sample_times,
     sample_from_model,
     train,
 )
@@ -228,6 +231,34 @@ class TestTrain:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(Exception):
             train([np.zeros((2, 1)), np.zeros((3, 1))], TrainConfig(iterations=1))
+
+    @pytest.mark.parametrize("n", [10, 17])
+    def test_mcmc_training_above_the_exact_cap(self, n):
+        # N = 10 is above the default cap of 9 (its eval targets come from the
+        # subset DP); N = 17 is above the DP ceiling (MCMC eval targets).
+        data = make_synthetic_dataset("jittered-template", 16, n, 2, 0)
+        ckpt = train(data, TrainConfig(target_mode="mcmc", iterations=2, batch_size=4))
+        assert len(ckpt.holdout_curve) == 2
+        assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
+
+    def test_eval_set_draws_and_targets_match_per_pair_reference(self):
+        rng = np.random.default_rng(39)
+        clouds = [rng.standard_normal((4, 2)) for _ in range(3)]
+        cfg = TrainConfig(t_min=1e-3)
+        ys, ts, targets = _frozen_eval_set(clouds, cfg, np.random.default_rng(40))
+        ref = np.random.default_rng(40)
+        k = 0
+        for px in clouds:
+            for t in _sample_times(ref, 8, cfg.t_min, cfg.horizon):
+                tr = ou_transition(0.0, float(t))
+                y = tr.decay * px + math.sqrt(tr.variance) * ref.standard_normal(px.shape)
+                np.testing.assert_array_equal(ys[k], y)
+                assert ts[k] == t
+                np.testing.assert_allclose(
+                    targets[k], ou_conditional_score_exact(px, y, float(t)), rtol=1e-10, atol=1e-10
+                )
+                k += 1
+        assert k == len(ts)
 
 
 class TestCheckpoint:
