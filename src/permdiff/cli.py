@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict
 
@@ -327,12 +326,6 @@ def _add_common(p):
     p.add_argument("--cap", type=int, default=9, help="largest N for exact evaluation")
     p.add_argument("--elements", help="comma-separated element table for .xyz input")
     p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("PERMDIFF_THREADS", "1")),
-        help="thread budget (this build computes serially; accepted for compatibility)",
-    )
 
 
 def _add_mcmc_flags(p):
@@ -436,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--elements")
     p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("PERMDIFF_THREADS", "1")))
 
     p = sub.add_parser("sample", help="sample clouds from a trained model")
     p.add_argument("--checkpoint", required=True)
@@ -468,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument("--threads", type=int, default=int(os.environ.get("PERMDIFF_THREADS", "1")))
 
     return parser
 
@@ -497,9 +488,6 @@ def dispatch(argv) -> int:
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if getattr(args, "threads", 1) < 1:
-        sys.stderr.write("error: category=domain: --threads must be >= 1\n")
-        return EXIT_DOMAIN
     try:
         if args.command == "train":
             return cmd_train(args, list(argv))

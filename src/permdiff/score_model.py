@@ -2,9 +2,12 @@
 
 Architecture: per-point affine maps plus a mean-pooled context term at every
 layer (tanh hidden activations, linear zero-initialized output). All
-parameters are shared across points, so permuting the input permutes the
-output exactly. Gradients are hand-written; the optimizer is SGD with
-momentum (or Adam) for zero-dependency reproducibility.
+parameters are shared across points, and every call runs the layers on the
+points in one canonical order, so permuting the input permutes the output
+bitwise for every N and batch size. Gradients are hand-written; a training
+step makes one forward pass and runs the backward pass over its cache. The
+optimizer is SGD with momentum (or Adam) for zero-dependency
+reproducibility.
 
 Step-size schedule, for both optimizers: the step grows linearly over the
 first ``WARMUP_ITERATIONS`` iterations, then decays along a cosine to zero
@@ -38,19 +41,29 @@ from .quotient_score import (
 N_TIME_FEATURES = 3
 
 
-def time_features(t: float) -> np.ndarray:
-    """Scalar features of t appended to every point input."""
-    return np.array([math.log(t), math.exp(-0.5 * t), math.sqrt(1.0 - math.exp(-t))])
+def time_features(ts: np.ndarray) -> np.ndarray:
+    """Features of each time, (B,) -> (B, 3), appended to every point input.
+
+    The last feature is the forward noise scale sqrt(1 - e^{-t}).
+    """
+    ts = np.asarray(ts, dtype=float)
+    return np.stack([np.log(ts), np.exp(-0.5 * ts), np.sqrt(1.0 - np.exp(-ts))], axis=-1)
 
 
-def _pooled(h: np.ndarray) -> np.ndarray:
-    # Mean over points, summed in value-sorted order per column so the
-    # result is bitwise permutation-invariant.
-    return np.sort(h, axis=1).sum(axis=1) / h.shape[1]
+def _param_count(point_dim: int, widths: tuple[int, ...]) -> int:
+    dims = [point_dim + N_TIME_FEATURES, *widths, point_dim]
+    return sum(2 * din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
 
 
 class EquivariantNet:
     """Stacked per-point + pooled-context layers mapping (N, d) -> (N, d).
+
+    Each call puts every cloud's points in one canonical order (sorted
+    lexicographically, -0.0 read as 0.0) and runs all layers on the ordered
+    cloud, so any relabeling of a cloud runs the same arithmetic on the same
+    array. Each run of exactly equal points takes the output of its first
+    point. Permuting the input therefore permutes the output bitwise, for
+    every N and batch size.
 
     With ``output_scale="noise"`` the raw output is divided by the forward
     noise scale sqrt(1 - e^{-t}), so the layers regress an O(1) noise-like
@@ -107,30 +120,72 @@ class EquivariantNet:
                 layer[k] = flat[pos : pos + a.size].reshape(a.shape).copy()
                 pos += a.size
 
-    def _forward(self, clouds: np.ndarray, ts: np.ndarray, keep_cache: bool):
+    def _forward(self, clouds: np.ndarray, ts: np.ndarray):
+        """Output (B, N, d) in the caller's order, and the cache ``_backward`` needs."""
         b, n, pd = clouds.shape
         if pd != self.point_dim:
             raise ShapeMismatchError(
                 f"net expects point dimension {self.point_dim}, got {pd}"
             )
-        feats = np.stack([time_features(float(t)) for t in ts])
-        h = np.concatenate([clouds, np.broadcast_to(feats[:, None, :], (b, n, feats.shape[1]))], axis=2)
+        sorted_clouds = clouds + 0.0  # -0.0 + 0.0 is +0.0
+        order = np.lexsort(np.moveaxis(sorted_clouds, 2, 0))
+        sorted_clouds = np.take_along_axis(sorted_clouds, order[:, :, None], axis=1)
+        new_run = np.ones((b, n), dtype=bool)
+        new_run[:, 1:] = (sorted_clouds[:, 1:] != sorted_clouds[:, :-1]).any(axis=2)
+        run_first = np.maximum.accumulate(np.where(new_run, np.arange(n), 0), axis=1)
+        source = np.empty_like(order)
+        np.put_along_axis(source, order, run_first, axis=1)
+
+        feats = time_features(ts)
+        h = np.concatenate(
+            [sorted_clouds, np.broadcast_to(feats[:, None, :], (b, n, N_TIME_FEATURES))], axis=2
+        )
         cache = []
         n_layers = len(self.layers)
         for li, (w_self, w_ctx, bias) in enumerate(self.layers):
-            ctx = _pooled(h)
-            z = h @ w_self + (ctx @ w_ctx)[:, None, :] + bias
-            out = z if li == n_layers - 1 else np.tanh(z)
-            if keep_cache:
-                cache.append((h, ctx, out))
+            ctx = h.sum(axis=1) / n
+            z = (h.reshape(b * n, -1) @ w_self).reshape(b, n, -1)
+            z += (ctx @ w_ctx + bias)[:, None, :]
+            out = z if li == n_layers - 1 else np.tanh(z, out=z)
+            cache.append((h, ctx, out))
             h = out
         if self.output_scale == "noise":
-            h = h / np.sqrt(1.0 - np.exp(-ts))[:, None, None]
-        return h, cache
+            h = h / feats[:, None, 2:]
+        return np.take_along_axis(h, source[:, :, None], axis=1), (order, feats, cache)
+
+    def _backward(self, state, grad_out: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient of sum(grad_out * output) over a cached pass.
+
+        The forward pass gives every point of a run of equal points the
+        output of the run's first point. Here each caller row's gradient
+        enters at its own sorted position instead, which gives the same
+        gradient up to rounding, because the points of a run have equal
+        inputs.
+        """
+        order, feats, cache = state
+        g = np.take_along_axis(np.asarray(grad_out, dtype=float), order[:, :, None], axis=1)
+        if self.output_scale == "noise":
+            g = g / feats[:, None, 2:]
+        b, n, _ = g.shape
+        grads: list[list[np.ndarray]] = [[] for _ in self.layers]
+        n_layers = len(self.layers)
+        for li in range(n_layers - 1, -1, -1):
+            h_in, ctx, h_out = cache[li]
+            w_self, w_ctx, _ = self.layers[li]
+            gz = g if li == n_layers - 1 else g * (1.0 - h_out * h_out)
+            gz_rows = gz.reshape(b * n, -1)
+            gsum = gz.sum(axis=1)
+            d_self = h_in.reshape(b * n, -1).T @ gz_rows
+            d_ctx = ctx.T @ gsum
+            d_bias = gsum.sum(axis=0)
+            grads[li] = [d_self, d_ctx, d_bias]
+            if li > 0:
+                g = (gz_rows @ w_self.T).reshape(b, n, -1) + ((gsum @ w_ctx.T) / n)[:, None, :]
+        return np.concatenate([a.ravel() for layer in grads for a in layer])
 
     def forward(self, clouds: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Batched evaluation: clouds (B, N, d), ts (B,) -> (B, N, d)."""
-        out, _ = self._forward(np.asarray(clouds, dtype=float), np.asarray(ts, dtype=float), False)
+        out, _ = self._forward(np.asarray(clouds, dtype=float), np.asarray(ts, dtype=float))
         return out
 
     def forward_single(self, y, t: float) -> np.ndarray:
@@ -139,27 +194,8 @@ class EquivariantNet:
 
     def backprop(self, clouds: np.ndarray, ts: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         """Flat parameter gradient of sum(grad_out * output)."""
-        clouds = np.asarray(clouds, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        _, cache = self._forward(clouds, ts, True)
-        n = clouds.shape[1]
-        g = np.asarray(grad_out, dtype=float)
-        if self.output_scale == "noise":
-            g = g / np.sqrt(1.0 - np.exp(-ts))[:, None, None]
-        grads: list[list[np.ndarray]] = [[] for _ in self.layers]
-        n_layers = len(self.layers)
-        for li in range(n_layers - 1, -1, -1):
-            h_in, ctx, h_out = cache[li]
-            w_self, w_ctx, _ = self.layers[li]
-            gz = g if li == n_layers - 1 else g * (1.0 - h_out * h_out)
-            gsum = gz.sum(axis=1)
-            d_self = np.einsum("bni,bnj->ij", h_in, gz)
-            d_ctx = ctx.T @ gsum
-            d_bias = gsum.sum(axis=0)
-            grads[li] = [d_self, d_ctx, d_bias]
-            if li > 0:
-                g = gz @ w_self.T + ((gsum @ w_ctx.T) / n)[:, None, :]
-        return np.concatenate([a.ravel() for layer in grads for a in layer])
+        _, state = self._forward(np.asarray(clouds, dtype=float), np.asarray(ts, dtype=float))
+        return self._backward(state, grad_out)
 
 
 def net_forward(net: EquivariantNet, y, t: float) -> np.ndarray:
@@ -202,10 +238,10 @@ class TrainConfig:
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
 
 
-def _loss_weight(weighting: str, t: float) -> float:
+def _loss_weights(weighting: str, ts: np.ndarray) -> np.ndarray:
     if weighting == "variance-scaled":
-        return 1.0 - math.exp(-t)
-    return 1.0
+        return 1.0 - np.exp(-ts)
+    return np.ones_like(ts)
 
 
 WARMUP_ITERATIONS = 100
@@ -226,11 +262,15 @@ def _step_scale(it: int, iterations: int) -> float:
 def _weighted_loss_grad(
     net: EquivariantNet, yb: np.ndarray, ts: np.ndarray, targets: np.ndarray, weighting: str
 ) -> tuple[float, np.ndarray]:
-    """Batch mean of the weighted squared error against targets, and its flat gradient."""
-    resid = net.forward(yb, ts) - targets
-    w = np.array([_loss_weight(weighting, float(t)) for t in ts])
+    """Batch mean of the weighted squared error against targets, and its flat gradient.
+
+    One forward pass serves both: the backward pass runs over its cache.
+    """
+    out, state = net._forward(yb, ts)
+    resid = out - targets
+    w = _loss_weights(weighting, ts)
     loss = float((w * (resid * resid).sum(axis=(1, 2))).mean())
-    return loss, net.backprop(yb, ts, 2.0 * w[:, None, None] * resid / len(ts))
+    return loss, net._backward(state, 2.0 * w[:, None, None] * resid / len(ts))
 
 
 def _sample_times(rng, count: int, t_min: float, horizon: float) -> np.ndarray:
@@ -340,19 +380,34 @@ class Checkpoint:
                 raise ParseError(
                     f"{path}: expected {header['param_count']} parameters, found {params.size}"
                 )
-            return cls(
+            train_config = header["train_config"]
+            # checkpoint_score_fn reads the trained t_min as the score's time floor.
+            if not isinstance(train_config, dict) or not float(train_config.get("t_min", 1e-2)) > 0:
+                raise ParseError(f"{path}: train_config must be a mapping with t_min > 0")
+            ckpt = cls(
                 params=params,
                 point_dim=int(header["point_dim"]),
                 n_points=int(header["n_points"]),
                 widths=tuple(int(w) for w in header["widths"]),
                 output_scale=header.get("output_scale", "none"),
-                train_config=header["train_config"],
+                train_config=train_config,
                 iteration=int(header["iteration"]),
                 holdout_curve=[tuple(p) for p in header["holdout_curve"]],
                 train_loss_curve=[tuple(p) for p in header["train_loss_curve"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad checkpoint header field {exc}") from exc
+        if min(ckpt.point_dim, ckpt.n_points, *ckpt.widths) < 1:
+            raise ParseError(f"{path}: point_dim, n_points and widths must be >= 1")
+        if ckpt.output_scale not in ("none", "noise"):
+            raise ParseError(f"{path}: unknown output_scale {ckpt.output_scale!r}")
+        implied = _param_count(ckpt.point_dim, ckpt.widths)
+        if params.size != implied:
+            raise ParseError(
+                f"{path}: point_dim {ckpt.point_dim} and widths {list(ckpt.widths)} "
+                f"imply {implied} parameters, found {params.size}"
+            )
+        return ckpt
 
 
 EVAL_PAIRS_PER_ITEM = 8
@@ -387,9 +442,8 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:
     ys, ts, targets = eval_set
     out = net.forward(ys, ts)
-    w = np.array([_loss_weight(weighting, float(t)) for t in ts])
     per = ((out - targets) ** 2).sum(axis=(1, 2))
-    return float((w * per).mean())
+    return float((_loss_weights(weighting, ts) * per).mean())
 
 
 def train(dataset, cfg: TrainConfig) -> Checkpoint:
@@ -497,7 +551,7 @@ def checkpoint_score_fn(ckpt: Checkpoint):
         if np.ndim(y) == 3:
             out = net.forward(y, np.full(len(y), t_net))
         else:
-            out = net.forward_single(y, t_net)
+            out = net.forward(as_points(y)[None], np.array([t_net]))[0]
         if t >= t_floor:
             return out
         return (v_floor / (1.0 - math.exp(-t))) * out

@@ -146,6 +146,49 @@ class TestExitCodes:
         assert err.startswith("error: category=parse")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "edit, extra_params",
+        [
+            ({"widths": [8]}, 0),
+            ({"widths": [8, 0]}, 0),
+            ({"point_dim": 0}, 0),
+            ({"n_points": 0}, 0),
+            ({"output_scale": "both"}, 0),
+            ({}, 2),
+            ({"param_count": "grown"}, 2),
+            ({"train_config": [1]}, 0),
+            ({"train_config": {"t_min": "small"}}, 0),
+            ({"train_config": {"t_min": -1.0}}, 0),
+        ],
+        ids=["widths", "zero-width", "point-dim-0", "n-points-0", "output-scale",
+             "oversized", "oversized-with-count", "config-list", "t-min-text", "t-min-negative"],
+    )
+    def test_checkpoint_header_disagrees_with_parameters(
+        self, capsys, tmp_path, edit, extra_params
+    ):
+        ckpt = train([np.zeros((3, 2))], TrainConfig(iterations=0, widths=(8, 8), seed=0))
+        path = tmp_path / "bad.ckpt"
+        ckpt.save(path)
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header.update(edit)
+        if header["param_count"] == "grown":
+            header["param_count"] = ckpt.params.size + extra_params
+        payload = raw[nl + 1 :] + np.zeros(extra_params).astype("<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code, out, err = run_cli(capsys, ["sample", "--checkpoint", str(path), "--n", "1"])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: category=parse")
+        assert out == ""
+
+    def test_no_threads_flag(self, capsys, tmp_path):
+        argv = ["make-data", "--kind", "ring", "--out", str(tmp_path / "d.jsonl"),
+                "--threads", "2"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_USAGE
+        assert "--threads" in err
+
     def test_train_has_no_cap_flag(self, capsys):
         argv = ["train", "--data", "d.jsonl", "--out", "o.ckpt", "--cap", "9"]
         code, _, err = run_cli(capsys, argv)

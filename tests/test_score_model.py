@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permdiff.bench import make_synthetic_dataset
 from permdiff.cloud import Permutation, apply
@@ -69,6 +71,62 @@ class TestEquivariance:
         net = EquivariantNet(1, (4,), seed=8)
         with pytest.raises(DomainError):
             net_forward(net, [[0.0]], 0.0)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY_NETS = {d: randomized_net(d, (96, 96), seed=d) for d in (1, 2, 3)}
+
+
+@st.composite
+def relabeled_batches(draw, distinct=False):
+    """(clouds (B, N, d), ts, p): N = 1..12, d = 1..3, B = 1 or 64.
+
+    Unless ``distinct``, some clouds repeat points and some coordinates are
+    zeros of either sign, so equal points can differ in the sign of a zero.
+    """
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    b = draw(st.sampled_from([1, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_normal((b, n, d))
+    if not distinct:
+        if draw(st.booleans()):
+            y = y[:, rng.integers(0, n, size=n)]
+        if draw(st.booleans()):
+            zero = rng.random((b, n, d)) < 0.4
+            y[zero] = 0.0
+            y = np.where(zero & (rng.random((b, n, d)) < 0.5), -0.0, y)
+    ts = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), size=b))
+    return y, ts, rng.permutation(n)
+
+
+def bits(a):
+    """Bit patterns, so that -0.0 and 0.0 do not compare equal."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestBitwiseEquivariance:
+    @PROPERTY_SETTINGS
+    @given(relabeled_batches())
+    def test_forward_permutes_bitwise(self, case):
+        y, ts, p = case
+        net = PROPERTY_NETS[y.shape[2]]
+        out = bits(net.forward(y, ts))
+        np.testing.assert_array_equal(bits(net.forward(y[:, p], ts)), out[:, p])
+        # Points equal as values (0.0 == -0.0) get bitwise equal outputs.
+        same_in = (y[:, :, None, :] == y[:, None, :, :]).all(axis=3)
+        same_out = (out[:, :, None, :] == out[:, None, :, :]).all(axis=3)
+        assert np.all(same_out[same_in])
+
+    @PROPERTY_SETTINGS
+    @given(relabeled_batches(distinct=True))
+    def test_backprop_invariant_under_joint_relabeling(self, case):
+        y, ts, p = case
+        net = PROPERTY_NETS[y.shape[2]]
+        g = np.random.default_rng(y.size).standard_normal(y.shape)
+        np.testing.assert_array_equal(
+            bits(net.backprop(y[:, p], ts, g[:, p])), bits(net.backprop(y, ts, g))
+        )
 
 
 class TestBackprop:
