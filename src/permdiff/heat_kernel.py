@@ -14,7 +14,8 @@ Two exact cores serve every sum over S_N:
 - ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
   They stay where a weight is needed for every permutation or a set of
   sampled permutations is given: the per-permutation kernel terms, the
-  exact posterior, the ELBO, the assignment trace and MCMC distributions.
+  exact posterior, the ELBO, the assignment trace and MCMC distributions
+  (one sample set per row for a batch of chains).
 """
 
 from __future__ import annotations
@@ -68,20 +69,22 @@ def _perm_sums(cost: np.ndarray, cap: int = ENUMERATION_CAP) -> np.ndarray:
 
 
 def _assignment_marginals(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Assignment marginals P[..., i, j] = sum of probs[..., k] over k with support[k, j] = i.
+    """Assignment marginals P[..., i, j] = sum of probs[..., k] over k with support[..., k, j] = i.
 
     ``support`` holds K permutations as rows (slot j receives point
-    support[k, j]), the full enumeration or MCMC samples alike; ``probs``
-    is (..., K). Returns (..., N, N); each row sums to the total mass.
+    support[k, j]), the full enumeration or MCMC samples alike: one (K, N)
+    set shared by every row of ``probs`` (..., K), or one set per row,
+    (..., K, N). Returns (..., N, N); each row sums to the total mass.
     """
-    k, n = support.shape
+    k, n = support.shape[-2:]
     probs = np.asarray(probs, dtype=float)
     rows = probs.reshape(-1, k)
     m = rows.shape[0]
+    support = support.reshape(-1, k, n)
     offsets = n * np.arange(m)[:, None]
     marg = np.empty((m, n, n))
     for j in range(n):
-        bins = (offsets + support[:, j]).ravel()
+        bins = (offsets + support[:, :, j]).ravel()
         marg[:, :, j] = np.bincount(bins, rows.ravel(), minlength=m * n).reshape(m, n)
     return marg.reshape(*probs.shape[:-1], n, n)
 

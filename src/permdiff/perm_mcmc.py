@@ -9,7 +9,6 @@ over transpositions samples q without ever normalizing it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +160,92 @@ def _accept_log_domain(neg_log_i, neg_log_j, a: int, b: int, u2: float) -> bool:
     return log_r >= 0.0 or u2 < math.exp(log_r)
 
 
+def _chains(
+    entries: np.ndarray,
+    starts: np.ndarray,
+    seeds,
+    burn_in: int,
+    thinning: int,
+    k: int,
+    always_accept: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run B independent swap chains, one per cost matrix: entries (B, N, N).
+
+    Row r starts at the permutation ``starts[r]`` (slot -> point), draws its
+    uniforms from ``default_rng(seeds[r])``, makes burn_in + thinning * k
+    steps of the chain described in ``mcmc_sample`` and keeps every
+    thinning-th state after the burn-in. Returns the retained states
+    (B, k, N) and the accepted step counts (B,); row r is exactly what the
+    chain of ``mcmc_sample`` with seed ``seeds[r]`` gives.
+
+    The tables are built once for the whole stack: cumulative row
+    probabilities for the slot draw, and the negated log probabilities and
+    their exponentials (inverse probabilities, inf where they overflow) for
+    R. The proposal (i, b) of a step does not depend on the state, so each
+    block of uniforms becomes its points i, slots b = bisect_right(cum[i], u1)
+    and the inverse probabilities 1/p_i[b] in a few vector operations; the
+    step loop keeps only the lookups that depend on the state.
+    """
+    b_rows, n, _ = entries.shape
+    row_log_probs = entries - logsumexp(entries, axis=2)[:, :, None]
+    cum = np.cumsum(np.exp(row_log_probs), axis=2)
+    cum[:, :, -1] = 1.0
+    # A row whose entries are all -inf has NaN probabilities; bisect_right
+    # steps over NaN, which a count of the entries <= u1 matches with -inf.
+    cum[np.isnan(cum)] = -math.inf
+    with np.errstate(over="ignore"):
+        inv_all = np.exp(-row_log_probs)
+    total = burn_in + thinning * k
+    states = np.empty((b_rows, k, n), dtype=np.intp)
+    accepted = np.zeros(b_rows, dtype=np.int64)
+    inf = math.inf
+
+    for r in range(b_rows):
+        rng = np.random.default_rng(seeds[r])
+        cum_r, inv_r = cum[r], inv_all[r]
+        neg_log = (-row_log_probs[r]).tolist()
+        inv = inv_r.tolist()
+        sigma = starts[r].tolist()  # sigma[slot] = point index
+        slot_of = [0] * n  # slot_of[point] = slot
+        for slot, point in enumerate(sigma):
+            slot_of[point] = slot
+        samples: list[list[int]] = []
+        rejected = 0
+        done = 0
+        next_record = burn_in + thinning
+        while done < total:
+            block = min(_UNIFORM_BLOCK, total - done)
+            u = rng.random((block, 3))
+            points = (u[:, 0] * n).astype(np.intp)
+            slots = np.minimum((cum_r[points] <= u[:, 1:2]).sum(axis=1), n - 1)
+            steps = zip(points.tolist(), slots.tolist(), u[:, 2].tolist(),
+                        inv_r[points, slots].tolist())
+            for i, b, u2, inv_ib in steps:
+                a = slot_of[i]
+                if a != b:  # a == b is the identity move, always accepted
+                    j = sigma[b]
+                    inv_j = inv[j]
+                    den = inv_ib + inv_j[a]
+                    if den == inf:
+                        ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
+                    else:
+                        ok = u2 * den < inv[i][a] + inv_j[b]
+                    if always_accept or ok:
+                        sigma[a] = j
+                        sigma[b] = i
+                        slot_of[i] = b
+                        slot_of[j] = a
+                    else:
+                        rejected += 1
+                done += 1
+                if done == next_record:
+                    samples.append(sigma[:])
+                    next_record += thinning
+        states[r] = samples
+        accepted[r] = total - rejected
+    return states, accepted
+
+
 def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, McmcDiagnostics]:
     """Sample the permutation posterior with the swap-proposal chain.
 
@@ -183,73 +268,25 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     Detailed balance is verified exhaustively in tests. b = a proposes the
     identity move and counts as accepted. ``always_accept`` accepts every
     proposal (an ablation whose chain does not target q).
+
+    This is the one-chain case of ``_chains``, which also runs a whole
+    batch of training targets in one call.
     """
     entries = cost_matrix(x, y, t).entries
     n = entries.shape[0]
     burn_in, thinning, k = cfg.resolve(n)
-
-    # Per-row tables, O(N^2) setup: cumulative probabilities for the slot
-    # draw (O(log N) per step), and the negated log probabilities and their
-    # exponentials (inverse probabilities, inf where they overflow) for R.
-    row_log_probs = entries - logsumexp(entries, axis=1)[:, None]
-    row_cum = np.cumsum(np.exp(row_log_probs), axis=1)
-    row_cum[:, -1] = 1.0
-    cum_list = [row.tolist() for row in row_cum]
-    neg_log = (-row_log_probs).tolist()
-    with np.errstate(over="ignore"):
-        inv = np.exp(-row_log_probs).tolist()
-
-    rng = np.random.default_rng(cfg.seed)
     # Start at the mode: at small t a chain started elsewhere can settle in
     # a local mode that no single transposition leaves.
-    sigma = list(min_cost_assignment(x, y).mapping)  # sigma[slot] = point index
-    slot_of = [0] * n  # slot_of[point] = slot
-    for slot, point in enumerate(sigma):
-        slot_of[point] = slot
+    start = np.asarray(min_cost_assignment(x, y).mapping)
+    states, accepted = _chains(
+        entries[None], start[None], [cfg.seed], burn_in, thinning, k, cfg.always_accept
+    )
+    support = states[0]
     total = burn_in + thinning * k
-    accepted = 0
-    samples: list[tuple[int, ...]] = []
-    always = cfg.always_accept
-
-    inf = math.inf
-    done = 0
-    next_record = burn_in + thinning
-    while done < total:
-        block = min(_UNIFORM_BLOCK, total - done)
-        u = rng.random((block, 3)).tolist()
-        for u0, u1, u2 in u:
-            i = int(u0 * n)
-            b = bisect_right(cum_list[i], u1)
-            if b >= n:
-                b = n - 1
-            a = slot_of[i]
-            if a == b:
-                accepted += 1
-            else:
-                j = sigma[b]
-                inv_i, inv_j = inv[i], inv[j]
-                den = inv_i[b] + inv_j[a]
-                if den == inf:
-                    ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
-                else:
-                    ok = u2 * den < inv_i[a] + inv_j[b]
-                if always or ok:
-                    sigma[a] = j
-                    sigma[b] = i
-                    slot_of[i] = b
-                    slot_of[j] = a
-                    accepted += 1
-            done += 1
-            if done == next_record:
-                samples.append(tuple(sigma))
-                next_record += thinning
-
-    support = np.asarray(samples, dtype=np.intp)
-    log_weights = np.full(k, -math.log(k))
-    dist = PermDistribution(support, log_weights, EMPIRICAL)
+    dist = PermDistribution(support, np.full(k, -math.log(k)), EMPIRICAL)
     diag = McmcDiagnostics(
-        acceptance_rate=accepted / total if total else 1.0,
+        acceptance_rate=int(accepted[0]) / total,
         proposal_count=total,
-        unique_states=len(set(samples)),
+        unique_states=len(set(map(tuple, support.tolist()))),
     )
     return dist, diag

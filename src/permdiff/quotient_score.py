@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from .cloud import (
@@ -26,8 +27,8 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _check_time, _perm_sums, _subset_dp
-from .perm_mcmc import EXACT, McmcConfig, PermDistribution, cost_matrix, mcmc_sample
+from .heat_kernel import _assignment_marginals, _check_time, _perm_sums, _subset_dp
+from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _chains, cost_matrix, mcmc_sample
 
 
 def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
@@ -105,6 +106,15 @@ def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
     return symmetrized_score_mcmc(decay * as_points(x0), y, tau, cfg)
 
 
+def _as_triples(x0_batch, y_batch, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xb = np.asarray(x0_batch, dtype=float)
+    yb = np.asarray(y_batch, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if xb.shape != yb.shape or xb.ndim != 3 or ts.shape != (xb.shape[0],):
+        raise DomainError("expected (B, n, d) clouds with matching (B,) times")
+    return xb, yb, ts
+
+
 def ou_conditional_scores_batch(
     x0_batch: np.ndarray,
     y_batch: np.ndarray,
@@ -116,15 +126,46 @@ def ou_conditional_scores_batch(
     Equivalent to stacking ou_conditional_score_exact over the batch: one
     pass of the exact score core at (decay * x0, y, tau) for all B triples.
     """
-    xb = np.asarray(x0_batch, dtype=float)
-    yb = np.asarray(y_batch, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if xb.shape != yb.shape or xb.ndim != 3 or ts.shape != (xb.shape[0],):
-        raise DomainError("expected (B, n, d) clouds with matching (B,) times")
+    xb, yb, ts = _as_triples(x0_batch, y_batch, ts)
     if not np.all(ts > 0.0):
         raise DomainError("times must be positive")
     tau = (1.0 - np.exp(-ts)) / 2.0
     return _exact_scores(np.exp(-0.5 * ts)[:, None, None] * xb, yb, tau, cap)
+
+
+def ou_conditional_scores_mcmc(
+    x0_batch: np.ndarray,
+    y_batch: np.ndarray,
+    ts: np.ndarray,
+    seeds,
+    cfg: McmcConfig,
+) -> np.ndarray:
+    """MCMC conditional scores for a batch of (x0, y, t) triples in one call.
+
+    Row r equals ou_conditional_score_mcmc(x0_batch[r], y_batch[r], ts[r],
+    cfg with seed seeds[r]) bit for bit: the B chains run in one ``_chains``
+    call from their most probable assignments, and the per-row sample sets
+    give the assignment marginals of one bincount pass.
+    """
+    xb, yb, ts = _as_triples(x0_batch, y_batch, ts)
+    if len(seeds) != xb.shape[0]:
+        raise DomainError("expected one seed per cloud")
+    decay, tau = np.array([_ou_time_change(t) for t in ts]).reshape(-1, 2).T
+    xb = decay[:, None, None] * xb
+    sq = pairwise_sq_dists(xb, yb)
+    starts = np.empty(sq.shape[:2], dtype=np.intp)
+    for r, cost in enumerate(sq):
+        rows, cols = linear_sum_assignment(cost)
+        starts[r, cols] = rows
+    burn_in, thinning, k = cfg.resolve(xb.shape[1])
+    states, _ = _chains(
+        -sq / (4.0 * tau[:, None, None]), starts, seeds,
+        burn_in, thinning, k, cfg.always_accept,
+    )
+    # The weights of PermDistribution.probabilities(), exp(-log k), per row.
+    probs = np.broadcast_to(np.exp(np.full(k, -math.log(k))), states.shape[:2])
+    marg = _assignment_marginals(states, probs)
+    return (np.swapaxes(marg, 1, 2) @ xb - yb) / (2.0 * tau[:, None, None])
 
 
 @dataclass(frozen=True)

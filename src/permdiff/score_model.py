@@ -36,6 +36,7 @@ from .quotient_score import (
     ou_conditional_score_exact,
     ou_conditional_score_mcmc,
     ou_conditional_scores_batch,
+    ou_conditional_scores_mcmc,
 )
 
 N_TIME_FEATURES = 3
@@ -236,6 +237,11 @@ class TrainConfig:
             raise DomainError(f"unknown output_scale {self.output_scale!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("batch_size", "eval_every", "mcmc_k"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise DomainError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
 
 def _loss_weights(weighting: str, ts: np.ndarray) -> np.ndarray:
@@ -417,9 +423,9 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
     """Fixed (y, t, target) triples for comparable held-out losses.
 
     The targets are exact, from one batched call, up to the subset DP's
-    ceiling of N points. Above it they are MCMC targets with fixed seeds;
-    the set is frozen, so their offset from the exact targets stays the
-    same over the holdout curve.
+    ceiling of N points. Above it they are MCMC targets, also from one
+    batched call, pair i on seed i; the set is frozen, so their offset
+    from the exact targets stays the same over the holdout curve.
     """
     xs, ys, ts = [], [], []
     for px in clouds:
@@ -432,11 +438,8 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
     xs, ys, ts = np.stack(xs), np.stack(ys), np.asarray(ts)
     if xs.shape[1] <= DP_CEILING:
         return ys, ts, ou_conditional_scores_batch(xs, ys, ts, DP_CEILING)
-    targets = [
-        ou_conditional_score_mcmc(x, y, t, McmcConfig(k=cfg.mcmc_k, seed=i))
-        for i, (x, y, t) in enumerate(zip(xs, ys, ts))
-    ]
-    return ys, ts, np.stack(targets)
+    seeds = range(len(ts))
+    return ys, ts, ou_conditional_scores_mcmc(xs, ys, ts, seeds, McmcConfig(k=cfg.mcmc_k))
 
 
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:
@@ -490,10 +493,8 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
         if cfg.target_mode == "exact":
             targets = ou_conditional_scores_batch(xb, yb, ts)
         else:
-            targets = np.empty_like(yb)
-            for bi in range(cfg.batch_size):
-                mcfg = McmcConfig(k=cfg.mcmc_k, seed=int(rng.integers(2**63)))
-                targets[bi] = ou_conditional_score_mcmc(xb[bi], yb[bi], float(ts[bi]), mcfg)
+            seeds = [int(rng.integers(2**63)) for _ in range(cfg.batch_size)]
+            targets = ou_conditional_scores_mcmc(xb, yb, ts, seeds, McmcConfig(k=cfg.mcmc_k))
         loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
         if not math.isfinite(loss) or loss > cfg.divergence_threshold:
             raise TrainingDiverged(

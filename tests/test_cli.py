@@ -195,6 +195,32 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "--cap" in err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--batch-size", "0"], "batch_size"),
+            (["--eval-every", "0"], "eval_every"),
+            (["--mcmc-k", "0", "--target-mode", "mcmc"], "mcmc_k"),
+            (["--holdout-fraction", "1.5"], "holdout_fraction"),
+            (["--holdout-fraction", "-1"], "holdout_fraction"),
+        ],
+        ids=["batch-size-0", "eval-every-0", "mcmc-k-0", "holdout-1.5", "holdout-minus-1"],
+    )
+    def test_bad_train_setting_fails_before_training(self, capsys, tmp_path, monkeypatch,
+                                                     flags, field):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran with a bad setting")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        data = tmp_path / "d.jsonl"
+        write_dataset(data, [np.full((2, 1), float(i)) for i in range(4)])
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                "--iterations", "2", *flags]
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_DOMAIN
+        assert err.startswith("error: category=domain") and field in err
+        assert out == ""
+
 
 def readme_command_lines():
     """Every ``permdiff ...`` line of README's code blocks, continuations joined."""

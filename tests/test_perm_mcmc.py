@@ -1,5 +1,6 @@
 """Posterior over permutations: exact enumeration and the swap-proposal chain."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -13,6 +14,7 @@ from permdiff.cloud import Permutation, min_cost_assignment, permutation_array
 from permdiff.errors import CapacityError, DomainError
 from permdiff.perm_mcmc import (
     McmcConfig,
+    _UNIFORM_BLOCK,
     _accept_log_domain,
     cost_matrix,
     log_weight,
@@ -307,3 +309,48 @@ class TestMcmcSample:
             mcmc_sample([[0.0]], [[0.0]], 1.0, McmcConfig(k=0))
         with pytest.raises(DomainError):
             mcmc_sample([[0.0]], [[0.0]], -1.0, McmcConfig(k=5))
+
+
+def chain_digest(cases) -> str:
+    """SHA-256 over the supports, weights and diagnostics of mcmc_sample runs."""
+    h = hashlib.sha256()
+    for x, y, t, cfg in cases:
+        dist, diag = mcmc_sample(x, y, t, cfg)
+        h.update(np.ascontiguousarray(dist.support, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(dist.log_weights, dtype="<f8").tobytes())
+        rate, count, unique = diag.acceptance_rate, diag.proposal_count, diag.unique_states
+        h.update(f"{rate.hex()} {count} {unique};".encode())
+    return h.hexdigest()
+
+
+class TestGoldenStream:
+    """The chain's output for fixed seeds, pinned by a digest of the original loop.
+
+    The grid covers t = 1e-300 and 1e-3, where inverse probabilities overflow
+    and the log-domain test runs, the ``always_accept`` ablation, default and
+    custom burn-in and thinning, and a chain longer than one uniform block.
+    """
+
+    def test_grid(self):
+        cases = []
+        for n in range(1, 9):
+            rng = np.random.default_rng(100 + n)
+            x, y = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+            for t in (1e-300, 1e-3, 0.05, 0.5, 5.0):
+                for always in (False, True):
+                    for burn_in, thinning in ((None, None), (0, 1), (7, 3)):
+                        cfg = McmcConfig(k=16, burn_in=burn_in, thinning=thinning,
+                                         seed=1000 * n + len(cases), always_accept=always)
+                        cases.append((x, y, t, cfg))
+        assert chain_digest(cases) == GOLDEN_GRID
+
+    def test_two_uniform_blocks(self):
+        rng = np.random.default_rng(99)
+        x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        cfg = McmcConfig(k=40_000, thinning=1, seed=17)
+        assert cfg.resolve(6)[0] + 40_000 > _UNIFORM_BLOCK
+        assert chain_digest([(x, y, 0.3, cfg)]) == GOLDEN_TWO_BLOCKS
+
+
+GOLDEN_GRID = "85f9e4141a957a2e0ced5c4d05f119b9179e6673e4eb74414c6ce0c1a0588b44"
+GOLDEN_TWO_BLOCKS = "48250d50c77f939f774eba89075a721c607547fc6985683253d8610a6cfc44be"

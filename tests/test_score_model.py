@@ -1,5 +1,6 @@
 """Equivariant network: exact symmetry, hand-written gradients, training."""
 
+import hashlib
 import itertools
 import math
 
@@ -13,7 +14,7 @@ from permdiff.cloud import Permutation, apply
 from permdiff.errors import DomainError, TrainingDiverged
 from permdiff.ou_sde import NoiseSchedule, ou_transition, reverse_integrate
 from permdiff.perm_mcmc import McmcConfig
-from permdiff.quotient_score import ou_conditional_score_exact
+from permdiff.quotient_score import ou_conditional_score_exact, ou_conditional_score_mcmc
 from permdiff.score_model import (
     Checkpoint,
     EquivariantNet,
@@ -73,7 +74,9 @@ class TestEquivariance:
             net_forward(net, [[0.0]], 0.0)
 
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# The profile of conftest.py. The decorators stay: hypothesis derives a
+# method's derandomized examples from its source, decorators included.
+PROPERTY_SETTINGS = settings.get_profile("permdiff")
 PROPERTY_NETS = {d: randomized_net(d, (96, 96), seed=d) for d in (1, 2, 3)}
 
 
@@ -298,6 +301,27 @@ class TestTrain:
         ckpt = train(data, TrainConfig(target_mode="mcmc", iterations=2, batch_size=4))
         assert len(ckpt.holdout_curve) == 2
         assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
+
+    def test_seeded_mcmc_training_is_pinned(self):
+        # Pinned when every target ran its own chain; batching the chains
+        # must not change a seeded run.
+        data = make_synthetic_dataset("jittered-template", 12, 7, 2, 3)
+        cfg = TrainConfig(target_mode="mcmc", iterations=3, batch_size=8, mcmc_k=4,
+                          widths=(16, 16), seed=5)
+        params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
+        assert hashlib.sha256(params.tobytes()).hexdigest() == (
+            "6ef89dcf06f60d040b5cebb57496c96d67e286785d6d5df9ac5c2d49f2e847a6"
+        )
+
+    def test_eval_set_above_the_dp_ceiling_matches_per_pair_chains(self):
+        rng = np.random.default_rng(41)
+        clouds = [rng.standard_normal((17, 2)) for _ in range(2)]
+        cfg = TrainConfig(mcmc_k=8)
+        ys, ts, targets = _frozen_eval_set(clouds, cfg, np.random.default_rng(42))
+        xs = np.repeat(np.stack(clouds), 8, axis=0)
+        for i, (x, y, t) in enumerate(zip(xs, ys, ts)):
+            ref = ou_conditional_score_mcmc(x, y, float(t), McmcConfig(k=8, seed=i))
+            assert targets[i].tobytes() == ref.tobytes()
 
     def test_eval_set_draws_and_targets_match_per_pair_reference(self):
         rng = np.random.default_rng(39)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -18,8 +18,6 @@ from permdiff import heat_kernel
 from permdiff.cloud import pairwise_sq_dists, permutation_array
 from permdiff.errors import CapacityError
 from permdiff.heat_kernel import DP_CEILING, _assignment_marginals, _perm_sums, _subset_dp
-
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -64,19 +62,16 @@ def assert_matches_enumeration(cost, atol):
     np.testing.assert_allclose(marg, ref_marg, rtol=0, atol=atol)
 
 
-@SETTINGS
 @given(instances())
 def test_matches_enumeration(inst):
     assert_matches_enumeration(log_affinities(*inst), atol=1e-12)
 
 
-@SETTINGS
 @given(instances(min_log10_t=-2.0, duplicate_slots=True))
 def test_matches_enumeration_with_repeated_slots(inst):
     assert_matches_enumeration(log_affinities(*inst), atol=1e-10)
 
 
-@SETTINGS
 @given(instances(duplicate_slots=True))
 def test_rows_and_columns_sum_to_one(inst):
     _, marg = _subset_dp(log_affinities(*inst))
@@ -85,7 +80,6 @@ def test_rows_and_columns_sum_to_one(inst):
     np.testing.assert_allclose(marg.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
-@SETTINGS
 @given(instances(), st.randoms(use_true_random=False))
 def test_permuting_x_permutes_rows(inst, random):
     x, y, t = inst
