@@ -2,9 +2,19 @@
 
 Data goes to stdout or --out files; logs go to stderr. Every subcommand
 that draws randomness funnels it through a single --seed flag, and seeded
-invocations are bitwise reproducible. Exit codes: 0 success, 2 usage,
-3 file not found, 4 parse error, 5 exact-evaluation capacity, 6 domain error
-(including a failing score callback), 7 training divergence.
+invocations are bitwise reproducible. A subcommand registers only the
+flags its handler reads.
+
+The train settings are TrainConfig's fields: ``train`` gets one flag and one
+config-file key per field (``widths`` as ``--width`` x ``--depth``;
+``divergence_threshold`` is not exposed), ``bench-gen`` the same flags with
+its schedule's ``--horizon`` and dataset's ``--seed``. A setting comes from
+the first of: a flag given, in any form argparse accepts (``--iterations=5``,
+``--iter 5``); the ``--config`` file; TrainConfig's default.
+
+Exit codes: 0 success, 2 usage, 3 file not found, 4 parse error, 5
+exact-evaluation capacity, 6 domain error (including a failing score
+callback), 7 training divergence.
 """
 
 from __future__ import annotations
@@ -32,7 +42,14 @@ from .quotient_score import (
     symmetrized_score_exact,
     symmetrized_score_mcmc,
 )
-from .score_model import Checkpoint, TrainConfig, checkpoint_score_fn, sample_from_model, train
+from .score_model import (
+    TRAIN_CHOICES,
+    Checkpoint,
+    TrainConfig,
+    checkpoint_score_fn,
+    sample_from_model,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,7 +73,7 @@ log = logging.getLogger("permdiff")
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -171,29 +188,24 @@ def cmd_reverse(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = {
-    "iterations": int,
-    "batch_size": int,
-    "step_size": float,
-    "momentum": float,
-    "t_min": float,
-    "horizon": float,
-    "target_mode": str,
-    "optimizer": str,
-    "mcmc_k": int,
-    "weighting": str,
-    "output_scale": str,
-    "width": int,
-    "depth": int,
-    "holdout_fraction": float,
-    "eval_every": int,
-    "seed": int,
+# The train settings, each one flag and one config-file key, with TrainConfig's
+# defaults: widths as width x depth, divergence_threshold not exposed. A
+# default's type parses its flag and key.
+_TRAIN_DEFAULTS = {
+    key: val for key, val in asdict(TrainConfig()).items()
+    if key not in ("widths", "divergence_threshold")
 }
+_TRAIN_DEFAULTS.update(width=TrainConfig.widths[0], depth=len(TrainConfig.widths))
 
 
 def _read_config_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     values = {}
-    for lineno, raw in enumerate(open(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -201,55 +213,32 @@ def _read_config_file(path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _TRAIN_KEYS:
+        if key not in _TRAIN_DEFAULTS:
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _TRAIN_KEYS[key](val.strip())
+            values[key] = type(_TRAIN_DEFAULTS[key])(val.strip())
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad value for {key!r}") from exc
     return values
 
 
-def _train_config(args, argv) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     """The TrainConfig of the train flags (train and bench-gen share them).
 
-    With ``--config``, file values fill in the flags that ``argv`` does not give.
+    Defaults, then ``--config`` file values, then the flags given: the train
+    flags default to SUPPRESS, so ``args`` holds only those that were given.
     """
-    values = {
-        "iterations": args.iterations,
-        "batch_size": args.batch_size,
-        "step_size": args.step_size,
-        "momentum": args.momentum,
-        "t_min": args.t_min,
-        "horizon": args.horizon,
-        "target_mode": args.target_mode,
-        "optimizer": args.optimizer,
-        "mcmc_k": args.mcmc_k,
-        "weighting": args.weighting,
-        "output_scale": args.output_scale,
-        "width": args.width,
-        "depth": args.depth,
-        "holdout_fraction": args.holdout_fraction,
-        "eval_every": args.eval_every,
-        "seed": args.seed,
-    }
+    values = dict(_TRAIN_DEFAULTS)
     if getattr(args, "config", None):
-        # Config-file values apply only where the flag was not given explicitly.
-        from_file = _read_config_file(args.config)
-        for key, val in from_file.items():
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv:
-                values[key] = val
-    width = values.pop("width")
-    depth = values.pop("depth")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    return TrainConfig(widths=(width,) * depth, **values)
+        values.update(_read_config_file(args.config))
+    values.update((key, val) for key, val in vars(args).items() if key in values)
+    widths = (values.pop("width"),) * values.pop("depth")
+    return TrainConfig(widths=widths, **values)
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args) -> int:
     dataset = io.read_dataset(args.data)
-    cfg = _train_config(args, argv)
+    cfg = _train_config(args)
     ckpt = train(dataset, cfg)
     ckpt.save(args.out)
     summary = {
@@ -274,7 +263,8 @@ def cmd_sample(args) -> int:
 def cmd_bench_score(args) -> int:
     k_grid = tuple(int(v) for v in args.k_grid.split(","))
     study = bench.run_estimator_study(
-        n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=k_grid, replicates=args.replicates
+        n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=k_grid,
+        replicates=args.replicates, cap=args.cap,
     )
     _emit(args, _dump(study.to_dict()))
     if args.csv:
@@ -285,14 +275,17 @@ def cmd_bench_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench_gen(args) -> int:
-    dataset = bench.make_synthetic_dataset(
+def _dataset(args) -> list:
+    return bench.make_synthetic_dataset(
         args.kind, args.items, args.points, args.dim, args.seed,
         jitter=args.jitter, radius=args.radius, blob_std=args.blob_std,
     )
+
+
+def cmd_bench_gen(args) -> int:
     report = bench.run_toy_generation(
-        dataset,
-        _train_config(args, []),
+        _dataset(args),
+        _train_config(args),
         _schedule(args),
         n_samples=args.samples,
         n_reference=args.reference,
@@ -305,10 +298,7 @@ def cmd_bench_gen(args) -> int:
 
 
 def cmd_make_data(args) -> int:
-    dataset = bench.make_synthetic_dataset(
-        args.kind, args.items, args.points, args.dim, args.seed,
-        jitter=args.jitter, radius=args.radius, blob_std=args.blob_std,
-    )
+    dataset = _dataset(args)
     io.write_dataset(args.out, dataset)
     sys.stdout.write(_dump({"items": len(dataset), "path": str(args.out)}))
     return EXIT_OK
@@ -320,11 +310,21 @@ def _add_cloud_pair(p):
     p.add_argument("--t", type=float, required=True, help="time, > 0")
 
 
-def _add_common(p):
-    p.add_argument("--out", help="write data here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for all randomness")
-    p.add_argument("--cap", type=int, default=9, help="largest N for exact evaluation")
-    p.add_argument("--elements", help="comma-separated element table for .xyz input")
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=0, help="RNG seed for all randomness"),
+    "cap": dict(type=int, default=9, help="largest N for exact evaluation"),
+    "elements": dict(help="comma-separated element table for .xyz input"),
+}
+
+
+def _add_common(p, *shared, out_required=False):
+    """--out, -v and those of the shared flags --seed, --cap, --elements named."""
+    p.add_argument(
+        "--out", required=out_required,
+        help="output path" if out_required else "write data here instead of stdout",
+    )
+    for name in shared:
+        p.add_argument("--" + name, **_SHARED_FLAGS[name])
     p.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -360,23 +360,14 @@ def _add_dataset_flags(p):
     p.add_argument("--blob-std", type=float, default=0.1, dest="blob_std")
 
 
-def _add_train_flags(p):
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    p.add_argument("--step-size", type=float, default=1e-3, dest="step_size")
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--t-min", type=float, default=1e-2, dest="t_min")
-    p.add_argument("--target-mode", choices=("exact", "mcmc"), default="exact", dest="target_mode")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
-    p.add_argument("--mcmc-k", type=int, default=32, dest="mcmc_k")
-    p.add_argument("--weighting", choices=("none", "variance-scaled"), default="none")
-    p.add_argument(
-        "--output-scale", choices=("none", "noise"), default="none", dest="output_scale"
-    )
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--depth", type=int, default=2, help="number of hidden layers")
-    p.add_argument("--holdout-fraction", type=float, default=0.1, dest="holdout_fraction")
-    p.add_argument("--eval-every", type=int, default=50, dest="eval_every")
+def _add_train_flags(p, skip=()):
+    """One flag per train setting not in ``skip``, each defaulting to SUPPRESS."""
+    for key, default in _TRAIN_DEFAULTS.items():
+        if key not in skip:
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=type(default), choices=TRAIN_CHOICES.get(key),
+                default=argparse.SUPPRESS, help=f"default {default}",
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,26 +380,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="evaluate a log heat kernel")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("euclid", "quotient-exact"), default="quotient-exact")
-    _add_common(p)
+    _add_common(p, "cap", "elements")
 
     p = sub.add_parser("posterior", help="posterior over permutations")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("exact", "mcmc"), default="exact")
     _add_mcmc_flags(p)
     p.add_argument("--diagnostics", help="sidecar JSON path for chain diagnostics")
-    _add_common(p)
+    _add_common(p, "seed", "cap", "elements")
 
     p = sub.add_parser("score", help="permutation-symmetrized score")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("exact", "mcmc"), default="exact")
     _add_mcmc_flags(p)
-    _add_common(p)
+    _add_common(p, "seed", "cap", "elements")
 
     p = sub.add_parser("forward", help="noise a cloud along a schedule")
     p.add_argument("--x", required=True, help="initial cloud file")
     _add_schedule_flags(p)
     p.add_argument("--assignment-trace", action="store_true", dest="assignment_trace")
-    _add_common(p)
+    _add_common(p, "seed", "cap", "elements")
 
     p = sub.add_parser("reverse", help="integrate the reverse dynamics")
     p.add_argument("--init", required=True, help="terminal-noise cloud file")
@@ -418,23 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     _add_mcmc_flags(p)
     p.add_argument("--assignment-trace", action="store_true", dest="assignment_trace")
-    _add_common(p)
+    _add_common(p, "seed", "cap", "elements")
 
     p = sub.add_parser("train", help="train the equivariant score network")
     p.add_argument("--data", required=True, help="JSONL dataset path")
-    p.add_argument("--config", help="key = value config file; explicit flags win")
+    p.add_argument("--config", help="key = value config file; flags given win")
     _add_train_flags(p)
-    p.add_argument("--horizon", type=float, default=5.0)
-    p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--elements")
-    p.add_argument("-v", "--verbose", action="store_true")
+    _add_common(p, out_required=True)
 
     p = sub.add_parser("sample", help="sample clouds from a trained model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=16)
     _add_schedule_flags(p, steps=256, grid="geometric")
-    _add_common(p)
+    _add_common(p, "seed")
 
     p = sub.add_parser("bench-score", help="MCMC-score accuracy study")
     p.add_argument("--n", type=int, default=5)
@@ -443,23 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", default="8,32,128,512", dest="k_grid")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--csv", help="optional per-K CSV table")
-    _add_common(p)
+    _add_common(p, "seed", "cap")
 
     p = sub.add_parser("bench-gen", help="end-to-end toy generation study")
     _add_dataset_flags(p)
-    _add_train_flags(p)
+    # The schedule's --horizon and the dataset's --seed also set the training's.
+    _add_train_flags(p, skip=("horizon", "seed"))
     _add_schedule_flags(p, steps=256, grid="geometric")
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--reference", type=int, default=256)
     p.add_argument("--shuffles", type=int, default=1000)
     p.add_argument("--no-train", action="store_true", dest="no_train")
-    _add_common(p)
+    _add_common(p, "seed")
 
     p = sub.add_parser("make-data", help="write a synthetic JSONL dataset")
     _add_dataset_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-v", "--verbose", action="store_true")
+    _add_common(p, "seed", out_required=True)
 
     return parser
 
@@ -470,6 +456,7 @@ _HANDLERS = {
     "score": cmd_score,
     "forward": cmd_forward,
     "reverse": cmd_reverse,
+    "train": cmd_train,
     "sample": cmd_sample,
     "bench-score": cmd_bench_score,
     "bench-gen": cmd_bench_gen,
@@ -485,12 +472,10 @@ def dispatch(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "train":
-            return cmd_train(args, list(argv))
         return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: category=file-not-found: {exc}\n")

@@ -41,6 +41,14 @@ from .quotient_score import (
 
 N_TIME_FEATURES = 3
 
+# The allowed values of TrainConfig's string settings.
+TRAIN_CHOICES = {
+    "target_mode": ("exact", "mcmc"),
+    "optimizer": ("sgd", "adam"),  # "sgd" is SGD with momentum
+    "weighting": ("none", "variance-scaled"),
+    "output_scale": ("none", "noise"),
+}
+
 
 def time_features(ts: np.ndarray) -> np.ndarray:
     """Features of each time, (B,) -> (B, 3), appended to every point input.
@@ -76,13 +84,13 @@ class EquivariantNet:
     def __init__(
         self,
         point_dim: int,
-        widths: tuple[int, ...] = (64, 64),
+        widths: tuple[int, ...],
         seed: int = 0,
         output_scale: str = "none",
     ):
         if point_dim < 1:
             raise DomainError("point_dim must be >= 1")
-        if output_scale not in ("none", "noise"):
+        if output_scale not in TRAIN_CHOICES["output_scale"]:
             raise DomainError(f"unknown output_scale {output_scale!r}")
         self.point_dim = int(point_dim)
         self.widths = tuple(int(w) for w in widths)
@@ -213,11 +221,11 @@ class TrainConfig:
     momentum: float = 0.9
     t_min: float = 1e-2
     horizon: float = 5.0
-    target_mode: str = "exact"  # "exact" | "mcmc"
-    optimizer: str = "sgd"  # "sgd" (momentum) | "adam"
+    target_mode: str = "exact"
+    optimizer: str = "sgd"
     mcmc_k: int = 32
-    weighting: str = "none"  # "none" | "variance-scaled"
-    output_scale: str = "none"  # "none" | "noise"
+    weighting: str = "none"
+    output_scale: str = "none"
     widths: tuple[int, ...] = (64, 64)
     holdout_fraction: float = 0.1
     eval_every: int = 50
@@ -229,17 +237,16 @@ class TrainConfig:
             raise DomainError("t_min must be positive")
         if self.t_min >= self.horizon:
             raise DomainError("t_min must be below the horizon")
-        if self.target_mode not in ("exact", "mcmc"):
-            raise DomainError(f"unknown target mode {self.target_mode!r}")
-        if self.weighting not in ("none", "variance-scaled"):
-            raise DomainError(f"unknown weighting {self.weighting!r}")
-        if self.output_scale not in ("none", "noise"):
-            raise DomainError(f"unknown output_scale {self.output_scale!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DomainError(f"unknown optimizer {self.optimizer!r}")
+        for name, allowed in TRAIN_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise DomainError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("batch_size", "eval_every", "mcmc_k"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.iterations < 0:
+            raise DomainError(f"iterations must be >= 0, got {self.iterations}")
+        if not self.widths or min(self.widths) < 1:
+            raise DomainError(f"widths must be nonempty and each >= 1, got {list(self.widths)}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise DomainError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
@@ -388,7 +395,9 @@ class Checkpoint:
                 )
             train_config = header["train_config"]
             # checkpoint_score_fn reads the trained t_min as the score's time floor.
-            if not isinstance(train_config, dict) or not float(train_config.get("t_min", 1e-2)) > 0:
+            if not isinstance(train_config, dict) or not (
+                float(train_config.get("t_min", TrainConfig.t_min)) > 0
+            ):
                 raise ParseError(f"{path}: train_config must be a mapping with t_min > 0")
             ckpt = cls(
                 params=params,
@@ -405,7 +414,7 @@ class Checkpoint:
             raise ParseError(f"{path}: bad checkpoint header field {exc}") from exc
         if min(ckpt.point_dim, ckpt.n_points, *ckpt.widths) < 1:
             raise ParseError(f"{path}: point_dim, n_points and widths must be >= 1")
-        if ckpt.output_scale not in ("none", "noise"):
+        if ckpt.output_scale not in TRAIN_CHOICES["output_scale"]:
             raise ParseError(f"{path}: unknown output_scale {ckpt.output_scale!r}")
         implied = _param_count(ckpt.point_dim, ckpt.widths)
         if params.size != implied:
@@ -544,7 +553,7 @@ def checkpoint_score_fn(ckpt: Checkpoint):
     direction extrapolates, the singular prefactor does not need to.
     """
     net = ckpt.build_net()
-    t_floor = float(ckpt.train_config.get("t_min", 1e-2))
+    t_floor = float(ckpt.train_config.get("t_min", TrainConfig.t_min))
     v_floor = 1.0 - math.exp(-t_floor)
 
     def score_fn(y, t):

@@ -1,5 +1,7 @@
 """CLI behavior: outputs, exit codes, schemas, seeded reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import math
 import re
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from permdiff import bench, cli
+from permdiff.errors import ParseError
 from permdiff.io import write_cloud_text, write_dataset
 from permdiff.score_model import TrainConfig, train
 
@@ -203,8 +206,12 @@ class TestExitCodes:
             (["--mcmc-k", "0", "--target-mode", "mcmc"], "mcmc_k"),
             (["--holdout-fraction", "1.5"], "holdout_fraction"),
             (["--holdout-fraction", "-1"], "holdout_fraction"),
+            (["--width", "0"], "widths"),
+            (["--depth", "0"], "widths"),
+            (["--iterations", "-2"], "iterations"),
         ],
-        ids=["batch-size-0", "eval-every-0", "mcmc-k-0", "holdout-1.5", "holdout-minus-1"],
+        ids=["batch-size-0", "eval-every-0", "mcmc-k-0", "holdout-1.5", "holdout-minus-1",
+             "width-0", "depth-0", "iterations-minus-2"],
     )
     def test_bad_train_setting_fails_before_training(self, capsys, tmp_path, monkeypatch,
                                                      flags, field):
@@ -242,13 +249,39 @@ class TestReadme:
         args = cli.build_parser().parse_args(
             ["bench-gen", "--kind", "ring", "--optimizer", "adam", "--output-scale", "noise"]
         )
-        cfg = cli._train_config(args, [])
+        cfg = cli._train_config(args)
         assert (cfg.optimizer, cfg.output_scale) == ("adam", "noise")
         cfg_file = tmp_path / "train.cfg"
         cfg_file.write_text("optimizer = adam\noutput-scale = noise\n")
         argv = ["train", "--data", "d.jsonl", "--out", "m.ckpt", "--config", str(cfg_file)]
-        cfg = cli._train_config(cli.build_parser().parse_args(argv), argv)
+        cfg = cli._train_config(cli.build_parser().parse_args(argv))
         assert (cfg.optimizer, cfg.output_scale) == ("adam", "noise")
+
+    def test_train_flags_config_keys_and_fields_agree(self, tmp_path):
+        default = TrainConfig()
+        settings = {f.name: getattr(default, f.name) for f in dataclasses.fields(TrainConfig)}
+        del settings["divergence_threshold"]
+        widths = settings.pop("widths")
+        settings.update(width=widths[0], depth=len(widths))
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in sub.choices["train"]._actions}
+        assert flags - {"help", "data", "config", "out", "verbose"} == set(settings)
+        assert set(settings) <= {a.dest for a in sub.choices["bench-gen"]._actions}
+
+        # Every setting left out, given as a flag or given as a config key at
+        # the field's default gives the default TrainConfig.
+        base = ["train", "--data", "d.jsonl", "--out", "m.ckpt"]
+        as_flags = [f"--{key.replace('_', '-')}={val}" for key, val in settings.items()]
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(f"{key} = {val}\n" for key, val in settings.items()))
+        for argv in (base, base + as_flags, base + ["--config", str(cfg_file)],
+                     ["bench-gen", "--kind", "ring"]):
+            assert cli._train_config(parser.parse_args(argv)) == default, argv
+        for key in ("divergence_threshold", "widths"):
+            cfg_file.write_text(f"{key} = 1\n")
+            with pytest.raises(ParseError, match="unknown config key"):
+                cli._train_config(parser.parse_args(base + ["--config", str(cfg_file)]))
 
 
 class TestPosterior:
@@ -388,6 +421,32 @@ class TestTrainSampleRoundtrip:
         assert code == 0
         assert json.loads(out)["iterations"] == 7
 
+    @pytest.mark.parametrize("flags", [["--iterations=5"], ["--iter", "5"]], ids=["equals", "prefix"])
+    def test_flag_forms_beat_config_file(self, tmp_path, capsys, flags):
+        data = self._write_dataset(tmp_path)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text("iterations = 7\nwidth = 8\ndepth = 1\nbatch-size = 4\n")
+        code, out, _ = run_cli(
+            capsys,
+            ["train", "--data", data, "--config", str(cfg_file), *flags,
+             "--out", str(tmp_path / "m.ckpt"), "--seed", "1"],
+        )
+        assert code == 0
+        assert json.loads(out)["iterations"] == 5
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        data = self._write_dataset(tmp_path)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_bytes(b"iterations = 7\n# caf\xe9\n")
+        code, out, err = run_cli(
+            capsys,
+            ["train", "--data", data, "--config", str(cfg_file), "--out",
+             str(tmp_path / "m.ckpt")],
+        )
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: category=parse") and "UTF-8" in err
+        assert out == ""
+
     def test_bad_config_key(self, tmp_path, capsys):
         data = self._write_dataset(tmp_path)
         cfg_file = tmp_path / "train.cfg"
@@ -426,6 +485,14 @@ class TestBenchCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "k,mean_error"
         assert len(lines) == 3
+
+    def test_bench_score_cap_reaches_exact_reference(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["bench-score", "--n", "10", "--cap", "10", "--k-grid", "2,4", "--replicates", "2"],
+        )
+        assert code == 0
+        assert validate_lines(out, "estimator-study.json")[0]["n"] == 10
 
     def test_make_data_and_bench_gen_no_train(self, tmp_path, capsys):
         data_path = tmp_path / "toy.jsonl"
