@@ -158,7 +158,7 @@ def cmd_forward(args) -> int:
     x0 = _load_cloud(args.x, args.elements)
     schedule = _schedule(args)
     traj = forward_trajectory(x0, schedule, args.seed)
-    trace = identity_exchange_trace(traj, x0, args.cap) if args.assignment_trace else None
+    trace = identity_exchange_trace(traj, x0) if args.assignment_trace else None
     _emit(args, _trajectory_lines(traj, trace))
     return EXIT_OK
 
@@ -176,14 +176,15 @@ def cmd_reverse(args) -> int:
             base = _mcmc_config(args)
             score_fn = lambda y, t: ou_conditional_score_mcmc(ref, y, t, base)
     else:
-        ckpt = Checkpoint.load(args.checkpoint)
-        score_fn = checkpoint_score_fn(ckpt)
+        if not args.checkpoint:
+            raise DomainError("--checkpoint is required for the model score source")
+        score_fn = checkpoint_score_fn(Checkpoint.load(args.checkpoint))
     traj = reverse_integrate(y_t, schedule, score_fn, args.seed)
     trace = None
     if args.assignment_trace:
         if not args.ref:
             raise DomainError("--assignment-trace requires --ref")
-        trace = identity_exchange_trace(traj, _load_cloud(args.ref, args.elements), args.cap)
+        trace = identity_exchange_trace(traj, _load_cloud(args.ref, args.elements))
     _emit(args, _trajectory_lines(traj, trace))
     return EXIT_OK
 
@@ -261,9 +262,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bench_score(args) -> int:
-    k_grid = tuple(int(v) for v in args.k_grid.split(","))
     study = bench.run_estimator_study(
-        n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=k_grid,
+        n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=args.k_grid,
         replicates=args.replicates, cap=args.cap,
     )
     _emit(args, _dump(study.to_dict()))
@@ -302,6 +302,11 @@ def cmd_make_data(args) -> int:
     io.write_dataset(args.out, dataset)
     sys.stdout.write(_dump({"items": len(dataset), "path": str(args.out)}))
     return EXIT_OK
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated list of integers; a bad one is a usage error."""
+    return tuple(int(v) for v in text.split(","))
 
 
 def _add_cloud_pair(p):
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="initial cloud file")
     _add_schedule_flags(p)
     p.add_argument("--assignment-trace", action="store_true", dest="assignment_trace")
-    _add_common(p, "seed", "cap", "elements")
+    _add_common(p, "seed", "elements")
 
     p = sub.add_parser("reverse", help="integrate the reverse dynamics")
     p.add_argument("--init", required=True, help="terminal-noise cloud file")
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--k-grid", default="8,32,128,512", dest="k_grid")
+    p.add_argument("--k-grid", type=int_list, default="8,32,128,512", dest="k_grid")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--csv", help="optional per-K CSV table")
     _add_common(p, "seed", "cap")

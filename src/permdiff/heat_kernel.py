@@ -14,8 +14,8 @@ Two exact cores serve every sum over S_N:
 - ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
   They stay where a weight is needed for every permutation or a set of
   sampled permutations is given: the per-permutation kernel terms, the
-  exact posterior, the ELBO, the assignment trace and MCMC distributions
-  (one sample set per row for a batch of chains).
+  exact posterior, the ELBO and MCMC distributions (one sample set per row
+  for a batch of chains).
 """
 
 from __future__ import annotations
@@ -191,6 +191,13 @@ def _subset_dp(
     return f[0], marg.transpose(2, 1, 0)
 
 
+def _log_kernels(x: np.ndarray, y: np.ndarray, t: float, cap: int) -> np.ndarray:
+    """Log quotient heat kernels at time t, in one DP pass, of clouds x (B, N, d) to y."""
+    n, d = x.shape[-2:]
+    log_z, _ = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), cap, marginals=False)
+    return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
+
+
 def euclid_log_heat_kernel(x, y, t: float) -> float:
     """log of the Gaussian heat kernel: -(dN/2) log(4 pi t) - ||x-y||^2 / (4t)."""
     t = _check_time(t)
@@ -219,9 +226,7 @@ def quotient_log_heat_kernel_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -
     t = _check_time(t)
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    n, d = px.shape
-    log_z, _ = _subset_dp(-pairwise_sq_dists(px, py)[None] / (4.0 * t), cap, marginals=False)
-    return float(-(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z[0])
+    return float(_log_kernels(px[None], py, t, cap)[0])
 
 
 class SemigroupResidual(NamedTuple):
@@ -255,9 +260,7 @@ def quotient_kernel_semigroup_residual(
     n, d = px.shape
     rng = np.random.default_rng(seed)
     z = px[None, :, :] + math.sqrt(2.0 * s) * rng.standard_normal((m, n, d))
-    log_z, _ = _subset_dp(-pairwise_sq_dists(z, py) / (4.0 * t), cap, marginals=False)
-    log_vals = -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
-    vals = np.exp(log_vals)
+    vals = np.exp(_log_kernels(z, py, t, cap))
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
     exact = math.exp(quotient_log_heat_kernel_exact(px, py, s + t, cap))

@@ -24,11 +24,9 @@ from .cloud import (
     canonicalize,
     check_same_shape,
     min_cost_assignment,
-    pairwise_sq_dists,
-    permutation_array,
 )
 from .errors import DomainError, ScoreCallbackError
-from .heat_kernel import _check_time, _perm_sums, _subset_dp
+from .heat_kernel import _check_time, _log_kernels
 
 # Score callbacks are never evaluated below this time; the conditional score
 # scale 1/(2t) is singular at t = 0.
@@ -43,13 +41,22 @@ class OuTransition:
     variance: float
 
 
+def ou_coefficients(dt):
+    """Decay e^{-dt/2} and variance 1 - e^{-dt} over elapsed times dt, elementwise.
+
+    -expm1(-dt) stays accurate where 1 - e^{-dt} rounds to 0 (dt below about 1e-16).
+    """
+    dt = np.asarray(dt, dtype=float)
+    return np.exp(-0.5 * dt), -np.expm1(-dt)
+
+
 def ou_transition(s: float, t: float) -> OuTransition:
     """Coefficients of the Gaussian transition from time s to time t > s."""
     s, t = float(s), float(t)
     if s < 0 or not (s < t):
         raise DomainError(f"need 0 <= s < t, got s={s}, t={t}")
-    decay = math.exp(-0.5 * (t - s))
-    return OuTransition(decay=decay, variance=1.0 - decay * decay)
+    decay, variance = ou_coefficients(t - s)
+    return OuTransition(decay=float(decay), variance=float(variance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,20 +142,14 @@ def forward_trajectory(x0, schedule: NoiseSchedule, seed) -> Trajectory:
     return Trajectory(times=schedule.grid.copy(), states=tuple(states))
 
 
-def _transition_log_densities(xs: np.ndarray, y: np.ndarray, tr: OuTransition, cap: int):
-    """Quotient transition log densities from each cloud of xs (K, N, d) to y (N, d)."""
-    n, d = y.shape
-    log_z, _ = _subset_dp(-pairwise_sq_dists(tr.decay * xs, y) / (2.0 * tr.variance), cap, False)
-    return -(d * n / 2.0) * math.log(2.0 * math.pi * tr.variance) + log_z
-
-
 def quotient_transition_log_density(
     x, y, s: float, t: float, cap: int = ENUMERATION_CAP
 ) -> float:
-    """log sum over sigma of N(sigma(y); decay * x, variance * I) from s to t."""
+    """log sum over sigma of N(sigma(y); decay * x, variance * I), the kernel at variance / 2."""
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    return float(_transition_log_densities(px[None], py, ou_transition(s, t), cap)[0])
+    tr = ou_transition(s, t)
+    return float(_log_kernels(tr.decay * px[None], py, tr.variance / 2.0, cap)[0])
 
 
 def quotient_marginal_log_density(
@@ -161,7 +162,8 @@ def quotient_marginal_log_density(
     py = as_points(y)
     for px in clouds:
         check_same_shape(px, py)
-    logs = _transition_log_densities(np.stack(clouds), py, ou_transition(0.0, t), cap)
+    tr = ou_transition(0.0, t)
+    logs = _log_kernels(tr.decay * np.stack(clouds), py, tr.variance / 2.0, cap)
     return float(logsumexp(logs) - math.log(len(logs)))
 
 
@@ -234,24 +236,12 @@ def reverse_integrate(
     return Trajectory(times=schedule.grid[::-1].copy(), states=tuple(states))
 
 
-def identity_exchange_trace(
-    trajectory: Trajectory, x0, cap: int = ENUMERATION_CAP
-) -> list[Permutation]:
+def identity_exchange_trace(trajectory: Trajectory, x0) -> list[Permutation]:
     """Most probable assignment of x0's points to each recorded state.
 
     The posterior mode over permutations does not depend on t: it is the
-    minimum-cost matching of x0 to the state. For N within the cap the mode
-    is taken from the enumerated posterior (first maximum in enumeration
-    order); above it the assignment solver is used. Counting changes along
-    the trace quantifies identity exchanges.
+    minimum-cost matching of x0 to the state, from the assignment solver.
+    Counting changes along the trace quantifies identity exchanges.
     """
     px = as_points(x0)
-    n = px.shape[0]
-    if n > cap:
-        return [min_cost_assignment(px, state) for state in trajectory.states]
-    perms = permutation_array(n, cap)
-    trace = []
-    for state in trajectory.states:
-        terms = _perm_sums(-pairwise_sq_dists(px, as_points(state)), cap)
-        trace.append(Permutation(tuple(int(v) for v in perms[np.argmax(terms)])))
-    return trace
+    return [min_cost_assignment(px, state) for state in trajectory.states]

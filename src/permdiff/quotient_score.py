@@ -28,6 +28,7 @@ from .cloud import (
 )
 from .errors import DomainError
 from .heat_kernel import _assignment_marginals, _check_time, _perm_sums, _subset_dp
+from .ou_sde import ou_coefficients
 from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _chains, cost_matrix, mcmc_sample
 
 
@@ -82,37 +83,37 @@ def symmetrized_score_mcmc(
     return score
 
 
-def _ou_time_change(t: float) -> tuple[float, float]:
-    """Map forward-process time t to (decay, kernel time tau).
+def _ou_triples(x0_batch, y_batch, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked triples x0, y (B, N, d), t (B,) as heat-kernel arguments (decay * x0, y, tau).
 
-    The mean-reverting transition N(decay * x, (1 - decay^2) I) equals the
-    heat kernel evaluated at tau = (1 - e^{-t}) / 2, so symmetrized scores of
-    the forward transition reuse the kernel machinery at (decay * x, tau).
+    The transition N(decay * x0, (1 - e^{-t}) I) is the heat kernel at
+    tau = (1 - e^{-t}) / 2, so its symmetrized score is the kernel's.
     """
-    t = _check_time(t)
-    decay = math.exp(-0.5 * t)
-    tau = (1.0 - math.exp(-t)) / 2.0
-    return decay, tau
-
-
-def ou_conditional_score_exact(x0, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """Gradient in y of the log symmetrized forward-transition density from x0."""
-    decay, tau = _ou_time_change(t)
-    return symmetrized_score_exact(decay * as_points(x0), y, tau, cap)
-
-
-def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
-    decay, tau = _ou_time_change(t)
-    return symmetrized_score_mcmc(decay * as_points(x0), y, tau, cfg)
-
-
-def _as_triples(x0_batch, y_batch, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xb = np.asarray(x0_batch, dtype=float)
     yb = np.asarray(y_batch, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if xb.shape != yb.shape or xb.ndim != 3 or ts.shape != (xb.shape[0],):
         raise DomainError("expected (B, n, d) clouds with matching (B,) times")
-    return xb, yb, ts
+    decay, variance = ou_coefficients(ts)
+    tau = variance / 2.0
+    # tau > 0 rejects t <= 0 and NaN, and t so small that tau underflows.
+    if not np.all(np.isfinite(ts) & (tau > 0.0)):
+        raise DomainError("times must be positive and finite")
+    return decay[:, None, None] * xb, yb, tau
+
+
+def ou_conditional_score_exact(x0, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """Gradient in y of the log symmetrized forward-transition density from x0 (a batch of 1)."""
+    px, py = as_points(x0), as_points(y)
+    check_same_shape(px, py)
+    return ou_conditional_scores_batch(px[None], py[None], [t], cap)[0]
+
+
+def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
+    """``ou_conditional_scores_mcmc`` of one triple, on seed ``cfg.seed``."""
+    px, py = as_points(x0), as_points(y)
+    check_same_shape(px, py)
+    return ou_conditional_scores_mcmc(px[None], py[None], [t], [cfg.seed], cfg)[0]
 
 
 def ou_conditional_scores_batch(
@@ -123,14 +124,10 @@ def ou_conditional_scores_batch(
 ) -> np.ndarray:
     """Exact conditional scores for a batch of (x0, y, t) triples at once.
 
-    Equivalent to stacking ou_conditional_score_exact over the batch: one
-    pass of the exact score core at (decay * x0, y, tau) for all B triples.
+    One pass of the exact score core at (decay * x0, y, tau) for all B
+    triples.
     """
-    xb, yb, ts = _as_triples(x0_batch, y_batch, ts)
-    if not np.all(ts > 0.0):
-        raise DomainError("times must be positive")
-    tau = (1.0 - np.exp(-ts)) / 2.0
-    return _exact_scores(np.exp(-0.5 * ts)[:, None, None] * xb, yb, tau, cap)
+    return _exact_scores(*_ou_triples(x0_batch, y_batch, ts), cap)
 
 
 def ou_conditional_scores_mcmc(
@@ -142,16 +139,14 @@ def ou_conditional_scores_mcmc(
 ) -> np.ndarray:
     """MCMC conditional scores for a batch of (x0, y, t) triples in one call.
 
-    Row r equals ou_conditional_score_mcmc(x0_batch[r], y_batch[r], ts[r],
-    cfg with seed seeds[r]) bit for bit: the B chains run in one ``_chains``
-    call from their most probable assignments, and the per-row sample sets
-    give the assignment marginals of one bincount pass.
+    Row r uses the chain that ``mcmc_sample`` runs at (decay * x0, y, tau)
+    with seed seeds[r]: the B chains run in one ``_chains`` call from their
+    most probable assignments, and the per-row sample sets give the
+    assignment marginals of one bincount pass.
     """
-    xb, yb, ts = _as_triples(x0_batch, y_batch, ts)
+    xb, yb, tau = _ou_triples(x0_batch, y_batch, ts)
     if len(seeds) != xb.shape[0]:
         raise DomainError("expected one seed per cloud")
-    decay, tau = np.array([_ou_time_change(t) for t in ts]).reshape(-1, 2).T
-    xb = decay[:, None, None] * xb
     sq = pairwise_sq_dists(xb, yb)
     starts = np.empty(sq.shape[:2], dtype=np.intp)
     for r, cost in enumerate(sq):

@@ -22,22 +22,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import ENUMERATION_CAP, PointCloud, QuotientPoint, as_points
+from .cloud import QuotientPoint, as_points
 from .errors import DomainError, ParseError, ShapeMismatchError, TrainingDiverged
 from .heat_kernel import DP_CEILING, _check_time
-from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_transition
+from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_coefficients
 from .perm_mcmc import McmcConfig
-from .quotient_score import (
-    ou_conditional_score_exact,
-    ou_conditional_score_mcmc,
-    ou_conditional_scores_batch,
-    ou_conditional_scores_mcmc,
-)
+from .quotient_score import ou_conditional_scores_batch, ou_conditional_scores_mcmc
 
 N_TIME_FEATURES = 3
 
@@ -56,7 +51,8 @@ def time_features(ts: np.ndarray) -> np.ndarray:
     The last feature is the forward noise scale sqrt(1 - e^{-t}).
     """
     ts = np.asarray(ts, dtype=float)
-    return np.stack([np.log(ts), np.exp(-0.5 * ts), np.sqrt(1.0 - np.exp(-ts))], axis=-1)
+    decay, variance = ou_coefficients(ts)
+    return np.stack([np.log(ts), decay, np.sqrt(variance)], axis=-1)
 
 
 def _param_count(point_dim: int, widths: tuple[int, ...]) -> int:
@@ -253,7 +249,7 @@ class TrainConfig:
 
 def _loss_weights(weighting: str, ts: np.ndarray) -> np.ndarray:
     if weighting == "variance-scaled":
-        return 1.0 - np.exp(-ts)
+        return ou_coefficients(ts)[1]
     return np.ones_like(ts)
 
 
@@ -292,6 +288,26 @@ def _sample_times(rng, count: int, t_min: float, horizon: float) -> np.ndarray:
     return np.exp(rng.uniform(lo, hi, size=count))
 
 
+def _noised(rng, xb: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Draws of the forward transitions from clouds xb (B, N, d) to times ts (B,)."""
+    decay, variance = ou_coefficients(ts)
+    noise = rng.standard_normal(xb.shape)
+    return decay[:, None, None] * xb + np.sqrt(variance)[:, None, None] * noise
+
+
+def _targets(xb, yb, ts, mcmc_cfg: McmcConfig | None = None, rng=None) -> np.ndarray:
+    """Symmetrized-score targets of B (x0, y, t) triples, from one batched call.
+
+    Exact when ``mcmc_cfg`` is None, by the subset DP up to ``DP_CEILING``
+    points (CapacityError above). Otherwise MCMC: row r runs on a seed drawn
+    from ``rng``, or on seed r when no ``rng`` is given.
+    """
+    if mcmc_cfg is None:
+        return ou_conditional_scores_batch(xb, yb, ts, DP_CEILING)
+    seeds = range(len(ts)) if rng is None else [int(rng.integers(2**63)) for _ in ts]
+    return ou_conditional_scores_mcmc(xb, yb, ts, seeds, mcmc_cfg)
+
+
 def dsm_loss(
     net: EquivariantNet,
     x0,
@@ -299,7 +315,6 @@ def dsm_loss(
     target_mode: str = "exact",
     seed=0,
     mcmc_cfg: McmcConfig | None = None,
-    cap: int = ENUMERATION_CAP,
     weighting: str = "none",
 ) -> tuple[float, np.ndarray]:
     """Draw a noised cloud, regress the net onto the symmetrized score.
@@ -311,20 +326,14 @@ def dsm_loss(
     error linearly; the loss itself acquires a constant offset equal to the
     target variance.
     """
-    t = _check_time(t)
-    px = as_points(x0)
-    rng = np.random.default_rng(seed)
-    tr = ou_transition(0.0, t)
-    y = tr.decay * px + math.sqrt(tr.variance) * rng.standard_normal(px.shape)
-    if target_mode == "exact":
-        target = ou_conditional_score_exact(px, y, t, cap)
-    elif target_mode == "mcmc":
-        cfg = mcmc_cfg if mcmc_cfg is not None else McmcConfig()
-        cfg = replace(cfg, seed=int(rng.integers(2**63)))
-        target = ou_conditional_score_mcmc(px, y, t, cfg)
-    else:
+    if target_mode not in TRAIN_CHOICES["target_mode"]:
         raise DomainError(f"unknown target mode {target_mode!r}")
-    return _weighted_loss_grad(net, y[None], np.array([t]), target[None], weighting)
+    mcmc_cfg = (mcmc_cfg or McmcConfig()) if target_mode == "mcmc" else None
+    ts = np.array([_check_time(t)])
+    xb = as_points(x0)[None]
+    rng = np.random.default_rng(seed)
+    yb = _noised(rng, xb, ts)
+    return _weighted_loss_grad(net, yb, ts, _targets(xb, yb, ts, mcmc_cfg, rng), weighting)
 
 
 @dataclass
@@ -438,17 +447,14 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
     """
     xs, ys, ts = [], [], []
     for px in clouds:
-        for t in _sample_times(rng, EVAL_PAIRS_PER_ITEM, cfg.t_min, cfg.horizon):
-            t = float(t)
-            tr = ou_transition(0.0, t)
-            xs.append(px)
-            ys.append(tr.decay * px + math.sqrt(tr.variance) * rng.standard_normal(px.shape))
-            ts.append(t)
-    xs, ys, ts = np.stack(xs), np.stack(ys), np.asarray(ts)
-    if xs.shape[1] <= DP_CEILING:
-        return ys, ts, ou_conditional_scores_batch(xs, ys, ts, DP_CEILING)
-    seeds = range(len(ts))
-    return ys, ts, ou_conditional_scores_mcmc(xs, ys, ts, seeds, McmcConfig(k=cfg.mcmc_k))
+        t = _sample_times(rng, EVAL_PAIRS_PER_ITEM, cfg.t_min, cfg.horizon)
+        x = np.broadcast_to(px, (len(t), *px.shape))
+        xs.append(x)
+        ys.append(_noised(rng, x, t))
+        ts.append(t)
+    xs, ys, ts = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+    mcmc_cfg = None if xs.shape[1] <= DP_CEILING else McmcConfig(k=cfg.mcmc_k)
+    return ys, ts, _targets(xs, ys, ts, mcmc_cfg)
 
 
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:
@@ -491,19 +497,14 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
     holdout_curve: list[tuple[int, float]] = [(0, _eval_loss(net, eval_set, cfg.weighting))]
     train_curve: list[tuple[int, float]] = []
     stacked = np.stack([clouds[i] for i in train_idx])
+    mcmc_cfg = McmcConfig(k=cfg.mcmc_k) if cfg.target_mode == "mcmc" else None
 
     for it in range(1, cfg.iterations + 1):
         batch_idx = rng.integers(0, stacked.shape[0], size=cfg.batch_size)
         xb = stacked[batch_idx]
         ts = _sample_times(rng, cfg.batch_size, cfg.t_min, cfg.horizon)
-        decay = np.exp(-0.5 * ts)
-        std = np.sqrt(1.0 - np.exp(-ts))
-        yb = decay[:, None, None] * xb + std[:, None, None] * rng.standard_normal(xb.shape)
-        if cfg.target_mode == "exact":
-            targets = ou_conditional_scores_batch(xb, yb, ts)
-        else:
-            seeds = [int(rng.integers(2**63)) for _ in range(cfg.batch_size)]
-            targets = ou_conditional_scores_mcmc(xb, yb, ts, seeds, McmcConfig(k=cfg.mcmc_k))
+        yb = _noised(rng, xb, ts)
+        targets = _targets(xb, yb, ts, mcmc_cfg, rng)
         loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
         if not math.isfinite(loss) or loss > cfg.divergence_threshold:
             raise TrainingDiverged(
@@ -554,7 +555,7 @@ def checkpoint_score_fn(ckpt: Checkpoint):
     """
     net = ckpt.build_net()
     t_floor = float(ckpt.train_config.get("t_min", TrainConfig.t_min))
-    v_floor = 1.0 - math.exp(-t_floor)
+    v_floor = ou_coefficients(t_floor)[1]
 
     def score_fn(y, t):
         t_net = max(t, t_floor)
@@ -564,7 +565,7 @@ def checkpoint_score_fn(ckpt: Checkpoint):
             out = net.forward(as_points(y)[None], np.array([t_net]))[0]
         if t >= t_floor:
             return out
-        return (v_floor / (1.0 - math.exp(-t))) * out
+        return (v_floor / ou_coefficients(t)[1]) * out
 
     return score_fn
 

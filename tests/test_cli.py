@@ -364,6 +364,20 @@ class TestTrajectories:
         assert code == cli.EXIT_DOMAIN
         assert "--ref" in err
 
+    def test_reverse_requires_checkpoint_for_model(self, clouds, capsys):
+        _, y, _ = clouds
+        code, _, err = run_cli(
+            capsys, ["reverse", "--init", y, "--score-source", "model", "--steps", "4"]
+        )
+        assert code == cli.EXIT_DOMAIN
+        assert "--checkpoint" in err
+
+    def test_forward_has_no_cap_flag(self, clouds, capsys):
+        x, _, _ = clouds
+        code, _, err = run_cli(capsys, ["forward", "--x", x, "--cap", "9"])
+        assert code == cli.EXIT_USAGE
+        assert "--cap" in err
+
 
 class TestTrainSampleRoundtrip:
     def _write_dataset(self, tmp_path, n_items=8):
@@ -485,6 +499,11 @@ class TestBenchCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "k,mean_error"
         assert len(lines) == 3
+
+    def test_bench_score_bad_k_grid_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["bench-score", "--k-grid", "4,x"])
+        assert code == cli.EXIT_USAGE
+        assert "--k-grid" in err and out == ""
 
     def test_bench_score_cap_reaches_exact_reference(self, capsys):
         code, out, _ = run_cli(

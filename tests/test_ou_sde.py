@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permdiff.bench import cloud_features, energy_permutation_test
-from permdiff.cloud import Permutation, apply, canonicalize
+from permdiff.cloud import Permutation, apply, canonicalize, permutation_array
 from permdiff.errors import DomainError, ScoreCallbackError
 from permdiff.ou_sde import (
     NoiseSchedule,
@@ -341,12 +341,13 @@ class TestForwardTrajectoryAndTrace:
         changes = sum(a != b for a, b in zip(trace[1:], trace[2:]))
         assert changes >= 1
 
-    def test_trace_matches_assignment_solver_above_cap(self):
+    def test_trace_is_the_enumerated_posterior_mode(self):
+        # The mode of exp(-||x0 - sigma(y)||^2 / (4t)) over all of S_5, at any t.
         rng = np.random.default_rng(14)
         x0 = rng.standard_normal((5, 2))
         sched = NoiseSchedule.uniform(1.0, 5)
         traj = forward_trajectory(x0, sched, 4)
-        small_cap = identity_exchange_trace(traj, x0, cap=3)
-        enumerated = identity_exchange_trace(traj, x0, cap=9)
-        for a, b in zip(small_cap, enumerated):
-            assert a == b
+        perms = permutation_array(5)
+        for state, sigma in zip(traj.states, identity_exchange_trace(traj, x0)):
+            sq = ((x0[perms] - state.points) ** 2).sum(axis=(1, 2))
+            assert sigma == Permutation(tuple(int(v) for v in perms[np.argmin(sq)]))

@@ -218,6 +218,15 @@ class TestOuConditionalScoresBatch:
             brute = ou_score_by_itertools(x0[b], y[b], t)
             np.testing.assert_allclose(batch[b], brute, rtol=1e-9, atol=1e-9 * scale)
 
+    def test_tiny_time_at_the_mean_gives_zero_score(self):
+        # 1 - e^{-t} rounds to 0 below t of about 1e-16; -expm1(-t) does not.
+        x0 = np.random.default_rng(26).standard_normal((4, 2))
+        t = 1e-300
+        zero = np.zeros_like(x0)
+        np.testing.assert_array_equal(ou_conditional_scores_batch(x0[None], x0[None], [t])[0], zero)
+        np.testing.assert_array_equal(ou_conditional_score_exact(x0, x0, t), zero)
+        np.testing.assert_array_equal(ou_conditional_score_mcmc(x0, x0, t, McmcConfig()), zero)
+
     def test_rejects_bad_shapes_and_times(self):
         x0 = np.zeros((2, 3, 2))
         ts = np.array([0.5, 1.0])

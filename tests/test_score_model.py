@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from permdiff.bench import make_synthetic_dataset
 from permdiff.cloud import Permutation, apply
-from permdiff.errors import DomainError, TrainingDiverged
+from permdiff.errors import CapacityError, DomainError, TrainingDiverged
+from permdiff.heat_kernel import DP_CEILING
 from permdiff.ou_sde import NoiseSchedule, ou_transition, reverse_integrate
 from permdiff.perm_mcmc import McmcConfig
 from permdiff.quotient_score import ou_conditional_score_exact, ou_conditional_score_mcmc
@@ -295,22 +296,31 @@ class TestTrain:
 
     @pytest.mark.parametrize("n", [10, 17])
     def test_mcmc_training_above_the_exact_cap(self, n):
-        # N = 10 is above the default cap of 9 (its eval targets come from the
-        # subset DP); N = 17 is above the DP ceiling (MCMC eval targets).
+        # N = 10 is above the default cap of 9: exact targets, in the loop and
+        # the eval set, come from the subset DP. N = 17 is above the DP
+        # ceiling: MCMC training uses MCMC eval targets, exact training fails.
         data = make_synthetic_dataset("jittered-template", 16, n, 2, 0)
         ckpt = train(data, TrainConfig(target_mode="mcmc", iterations=2, batch_size=4))
         assert len(ckpt.holdout_curve) == 2
         assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
+        exact = TrainConfig(target_mode="exact", iterations=2, batch_size=4)
+        if n > DP_CEILING:
+            with pytest.raises(CapacityError):
+                train(data, exact)
+        else:
+            ckpt = train(data, exact)
+            assert np.all(np.isfinite([v for _, v in ckpt.train_loss_curve]))
+            assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
 
     def test_seeded_mcmc_training_is_pinned(self):
-        # Pinned when every target ran its own chain; batching the chains
-        # must not change a seeded run.
+        # Pinned with the noise variance computed as -expm1(-t); the earlier
+        # pin, with 1 - e^{-t}, differed by at most 1.1e-17 in any parameter.
         data = make_synthetic_dataset("jittered-template", 12, 7, 2, 3)
         cfg = TrainConfig(target_mode="mcmc", iterations=3, batch_size=8, mcmc_k=4,
                           widths=(16, 16), seed=5)
         params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
         assert hashlib.sha256(params.tobytes()).hexdigest() == (
-            "6ef89dcf06f60d040b5cebb57496c96d67e286785d6d5df9ac5c2d49f2e847a6"
+            "c85cfabe8b731697a513e7c5acb3b2730e0c4a4df58126811b592ed0d9b68187"
         )
 
     def test_eval_set_above_the_dp_ceiling_matches_per_pair_chains(self):
