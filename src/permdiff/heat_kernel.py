@@ -14,8 +14,7 @@ Two exact cores serve every sum over S_N:
 - ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
   They stay where a weight is needed for every permutation or a set of
   sampled permutations is given: the per-permutation kernel terms, the
-  exact posterior, the ELBO and MCMC distributions (one sample set per row
-  for a batch of chains).
+  exact posterior, the ELBO and the swap chain's sample sets.
 """
 
 from __future__ import annotations
@@ -72,19 +71,18 @@ def _assignment_marginals(support: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Assignment marginals P[..., i, j] = sum of probs[..., k] over k with support[..., k, j] = i.
 
     ``support`` holds K permutations as rows (slot j receives point
-    support[k, j]), the full enumeration or MCMC samples alike: one (K, N)
-    set shared by every row of ``probs`` (..., K), or one set per row,
-    (..., K, N). Returns (..., N, N); each row sums to the total mass.
+    support[k, j]), the full enumeration or MCMC samples alike, shared by
+    every row of ``probs`` (..., K). Returns (..., N, N); each row sums to
+    the total mass.
     """
-    k, n = support.shape[-2:]
+    k, n = support.shape
     probs = np.asarray(probs, dtype=float)
     rows = probs.reshape(-1, k)
     m = rows.shape[0]
-    support = support.reshape(-1, k, n)
     offsets = n * np.arange(m)[:, None]
     marg = np.empty((m, n, n))
     for j in range(n):
-        bins = (offsets + support[:, :, j]).ravel()
+        bins = (offsets + support[:, j]).ravel()
         marg[:, :, j] = np.bincount(bins, rows.ravel(), minlength=m * n).reshape(m, n)
     return marg.reshape(*probs.shape[:-1], n, n)
 

@@ -193,7 +193,9 @@ def _reverse_steps(
         try:
             score = np.asarray(score_fn(y, t_eval), dtype=float)
         except Exception as exc:
-            raise ScoreCallbackError(f"score callback failed at step {step}, t={t_eval}") from exc
+            raise ScoreCallbackError(
+                f"score callback failed at step {step}, t={t_eval}: {exc}"
+            ) from exc
         if score.shape != y.shape:
             raise ScoreCallbackError(
                 f"score shape {score.shape} does not match state shape {y.shape}"

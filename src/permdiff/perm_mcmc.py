@@ -3,13 +3,16 @@
 q(sigma) is the softmax over S_N of I(sigma) = -||x - sigma(y)||^2 / (4t),
 the soft assignment of noised points to clean points. Exact normalization
 enumerates all N! permutations; above the cap a Metropolis-Hastings chain
-over transpositions samples q without ever normalizing it.
+over transpositions samples q without ever normalizing it. The MCMC
+training targets use a block-Gibbs chain instead, ``_block_gibbs``, which
+returns Rao-Blackwellised assignment marginals rather than samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,7 +27,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _assignment_marginals, _check_time, _perm_sums
+from .heat_kernel import _NEG_MAX, _assignment_marginals, _check_time, _perm_sums
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -122,7 +125,12 @@ def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribut
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain parameters. ``burn_in`` and ``thinning`` default to 50N and N."""
+    """Chain parameters. ``burn_in`` and ``thinning`` default to 50N and N.
+
+    ``burn_in``, ``thinning`` and ``always_accept`` set the swap chain of
+    ``mcmc_sample``; the block-Gibbs training targets read only ``k`` and
+    ``seed``.
+    """
 
     k: int = 32
     burn_in: int | None = None
@@ -246,6 +254,138 @@ def _chains(
     return states, accepted
 
 
+# The block-Gibbs kernel of the training targets: blocks of at most
+# _BLOCK_SLOTS slots, a uniformly drawn block with probability
+# _UNIFORM_BLOCK_PROB, one chain per _SAMPLES_PER_CHAIN retained samples.
+_BLOCK_SLOTS = 4
+_UNIFORM_BLOCK_PROB = 0.25
+_SAMPLES_PER_CHAIN = 8
+# Order weights more than e^700 below a block's largest count as 0: np.exp is
+# many times slower on results that underflow or are subnormal.
+_EXP_FLOOR = -700.0
+
+
+@lru_cache(maxsize=None)
+def _block_orders(block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block! orders of a block, identity first, and the orders by placement.
+
+    ``orders[f, s]`` is the block point that order f puts in block slot s;
+    ``by_place[:, a, s]`` lists the orders that put block point a in slot s.
+    """
+    orders = permutation_array(block)
+    by_place = np.array(
+        [[np.flatnonzero(orders[:, s] == a) for s in range(block)] for a in range(block)]
+    ).transpose(2, 0, 1).copy()
+    by_place.setflags(write=False)
+    return orders, by_place
+
+
+def _block_draws(y: np.ndarray, seeds, steps: int, chains: int, block: int):
+    """Every step's blocks (steps, kb, B * C) and order draws (steps, B * C).
+
+    Chain c of target r is row r * C + c. Per step, each chain takes from
+    ``default_rng(seeds[r])`` the block kind, the order draw and N slot keys.
+    """
+    b_rows, n, _ = y.shape
+    u = np.empty((b_rows, steps, chains, n + 2))
+    for r, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=u[r])
+    ranked = np.argsort(u[..., 2:], axis=3)  # a uniformly random order of the slots
+    dist = pairwise_sq_dists(y, y)
+    dist[:, range(n), range(n)] = -1.0  # a slot is nearest itself, before its ties
+    nearest = np.argsort(dist, axis=2, kind="stable")[..., :block]
+    blocks = np.where(
+        (u[..., 0] < _UNIFORM_BLOCK_PROB)[..., None],
+        ranked[..., :block],
+        nearest[np.arange(b_rows)[:, None, None], ranked[..., 0]],
+    )
+    rows = b_rows * chains
+    return (
+        blocks.transpose(1, 3, 0, 2).reshape(steps, block, rows),
+        u[..., 1].transpose(1, 0, 2).reshape(steps, rows),
+    )
+
+
+def _block_gibbs(entries: np.ndarray, y: np.ndarray, starts: np.ndarray, seeds, k: int) -> np.ndarray:
+    """Assignment marginals of B targets from block-Gibbs chains: entries (B, N, N).
+
+    Target r runs C = ceil(k / 8) chains on the cost matrix entries[r] with
+    slot positions y[r] (N, d). Every chain starts at the assignment
+    starts[r] (slot -> point), and all of them draw their uniforms from the
+    one generator ``default_rng(seeds[r])``.
+
+    A step updates a block of kb = min(4, N - 1) slots (all N when N <= 2):
+    with probability 1/4 kb uniformly drawn slots, otherwise a uniformly
+    drawn slot and its kb - 1 nearest slots in y, ties broken by index. It
+    weighs all kb! orders of the points that sit in the block over the
+    block's slots and draws one exactly. The block depends on y alone, not
+    on the state, so each step is a Gibbs update of q; the uniform blocks
+    make the chain irreducible. A block whose orders all weigh -inf (far
+    points at tiny t) keeps its current order.
+
+    A chain makes one burn-in sweep of ceil(N / kb) steps, then ceil(k / C)
+    recorded sweeps. Each recorded step adds the block's exact assignment
+    marginal plus the one-hot of the state outside the block (the
+    Rao-Blackwellised average). Returns P (B, N, N): P[r, i, j] is the
+    average over target r's chains and recorded steps of the probability
+    that slot j holds point i.
+
+    All B * C chains step together, a fixed number of numpy operations per
+    step on arrays that keep the chains on their last axis. Those are
+    elementwise operations, gathers, and sums over short leading axes that
+    add whole vectors; with no matrix product, a target's marginals do not
+    depend on the other rows of the batch.
+    """
+    b_rows, n, _ = entries.shape
+    block = n if n <= 2 else min(_BLOCK_SLOTS, n - 1)
+    chains = -(-k // _SAMPLES_PER_CHAIN)
+    sweep = -(-n // block)
+    recorded = sweep * -(-k // chains)
+    orders, by_place = _block_orders(block)
+    rows = b_rows * chains
+    row = np.arange(rows)
+    blocks, draw = _block_draws(y, seeds, sweep + recorded, chains, block)
+    # sigma[j, r] is the point in slot j of chain r. The costs and the sums
+    # are [point, slot, row] arrays, flattened: point i in slot j of row r is
+    # at i * N * rows + j * rows + r, where j * rows + r indexes sigma.
+    sigma = np.repeat(np.asarray(starts, dtype=np.intp).T, chains, axis=1)
+    flat_sigma = sigma.reshape(-1)
+    state_at = np.arange(sigma.size).reshape(sigma.shape)
+    slot_at = blocks * rows + row
+    flat_cost = np.repeat(entries.transpose(1, 2, 0), chains, axis=2).reshape(-1)
+    acc = np.zeros((n, n, rows))  # the recorded marginals
+    flat_acc = acc.reshape(-1)
+    # The weight of order f is sum_s M[orders[f, s], s], with M[a, s] the
+    # cost of the block's point a in its slot s, flattened.
+    terms = (orders * block + np.arange(block)).T
+    eye = np.eye(block)[..., None]
+    # Sums of finite costs may overflow to -inf, a valid log weight.
+    with np.errstate(over="ignore"):
+        for step, at_slots in enumerate(slot_at):
+            points = flat_sigma.take(at_slots)  # (kb, rows): the block's points by slot
+            at = points[:, None] * (n * rows) + at_slots  # [a, s]: point a in slot s
+            w = flat_cost.take(at).reshape(block * block, rows).take(terms, axis=0).sum(axis=0)
+            # A block whose orders all weigh -inf keeps its order, the identity.
+            np.maximum(w[0], _NEG_MAX, out=w[0])
+            w -= w.max(axis=0)
+            e = np.exp(np.maximum(w, _EXP_FLOOR, out=w), out=w)
+            e -= math.exp(_EXP_FLOOR)  # exactly 0 at the floor
+            cum = np.cumsum(e, axis=0)
+            if step >= sweep:
+                at_state = sigma * (n * rows) + state_at
+                flat_acc.put(at_state, flat_acc.take(at_state) + 1.0)
+                # q[a, s] is the probability that the block's point a lands in
+                # slot s, less the one-hot of the state that the line above added.
+                q = e.take(by_place, axis=0).sum(axis=0) / cum[-1] - eye
+                flat_acc.put(at, flat_acc.take(at) + q)
+            # The first order whose cumulative weight exceeds u * total.
+            pick = (cum[:-1] <= draw[step] * cum[-1]).sum(axis=0, dtype=np.intp)
+            flat_sigma.put(at_slots, points.take(orders[pick].T * rows + row))
+    marg = acc.reshape(n, n, b_rows, chains).sum(axis=3) / (chains * recorded)
+    # Contiguous per target, so that a matrix product treats every row alike.
+    return np.ascontiguousarray(marg.transpose(2, 0, 1))
+
+
 def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, McmcDiagnostics]:
     """Sample the permutation posterior with the swap-proposal chain.
 
@@ -269,8 +409,7 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     identity move and counts as accepted. ``always_accept`` accepts every
     proposal (an ablation whose chain does not target q).
 
-    This is the one-chain case of ``_chains``, which also runs a whole
-    batch of training targets in one call.
+    This is the one-chain case of ``_chains``.
     """
     entries = cost_matrix(x, y, t).entries
     n = entries.shape[0]

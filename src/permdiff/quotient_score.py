@@ -5,13 +5,14 @@ posterior expectation over permutations of per-permutation Gaussian scores
 (the mixture-score identity). The exact scores and training targets take
 the assignment marginals P from the subset DP of ``heat_kernel``
 (O(N 2^N), N <= 16) and return (P^T x - y) / (2t); the ELBO, which needs
-every permutation's weight, enumerates S_N. The MCMC variant averages
-per-permutation scores over posterior samples.
+every permutation's weight, enumerates S_N. The MCMC query averages
+per-permutation scores over swap-chain samples; the MCMC transition scores
+(the training targets) take Rao-Blackwellised marginals from block-Gibbs
+chains.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _assignment_marginals, _check_time, _perm_sums, _subset_dp
+from .heat_kernel import _check_time, _perm_sums, _subset_dp
 from .ou_sde import ou_coefficients
-from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _chains, cost_matrix, mcmc_sample
+from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _block_gibbs, cost_matrix, mcmc_sample
 
 
 def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
@@ -139,27 +140,29 @@ def ou_conditional_scores_mcmc(
 ) -> np.ndarray:
     """MCMC conditional scores for a batch of (x0, y, t) triples in one call.
 
-    Row r uses the chain that ``mcmc_sample`` runs at (decay * x0, y, tau)
-    with seed seeds[r]: the B chains run in one ``_chains`` call from their
-    most probable assignments, and the per-row sample sets give the
-    assignment marginals of one bincount pass.
+    Row r is (P^T x - y) / (2 tau) at x = decay * x0, with P the
+    Rao-Blackwellised assignment marginals of ``ceil(cfg.k / 8)`` block-Gibbs
+    chains at (x, y, tau) on seed seeds[r], started at the most probable
+    assignment (``perm_mcmc._block_gibbs``). The B targets step together in
+    one call, and row r equals the lone call on seed seeds[r]. ``burn_in``,
+    ``thinning`` and ``always_accept`` describe the swap chain of
+    ``mcmc_sample`` and raise DomainError when set.
     """
+    if cfg.burn_in is not None or cfg.thinning is not None or cfg.always_accept:
+        raise DomainError(
+            "MCMC targets read only k and seed; burn_in, thinning and always_accept "
+            "describe the swap chain of mcmc_sample"
+        )
     xb, yb, tau = _ou_triples(x0_batch, y_batch, ts)
     if len(seeds) != xb.shape[0]:
         raise DomainError("expected one seed per cloud")
+    _, _, k = cfg.resolve(xb.shape[1])
     sq = pairwise_sq_dists(xb, yb)
     starts = np.empty(sq.shape[:2], dtype=np.intp)
     for r, cost in enumerate(sq):
         rows, cols = linear_sum_assignment(cost)
         starts[r, cols] = rows
-    burn_in, thinning, k = cfg.resolve(xb.shape[1])
-    states, _ = _chains(
-        -sq / (4.0 * tau[:, None, None]), starts, seeds,
-        burn_in, thinning, k, cfg.always_accept,
-    )
-    # The weights of PermDistribution.probabilities(), exp(-log k), per row.
-    probs = np.broadcast_to(np.exp(np.full(k, -math.log(k))), states.shape[:2])
-    marg = _assignment_marginals(states, probs)
+    marg = _block_gibbs(-sq / (4.0 * tau[:, None, None]), yb, starts, seeds, k)
     return (np.swapaxes(marg, 1, 2) @ xb - yb) / (2.0 * tau[:, None, None])
 
 

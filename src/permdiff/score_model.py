@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import QuotientPoint, as_points
-from .errors import DomainError, ParseError, ShapeMismatchError, TrainingDiverged
+from .errors import CapacityError, DomainError, ParseError, ShapeMismatchError, TrainingDiverged
 from .heat_kernel import DP_CEILING, _check_time
 from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_coefficients
 from .perm_mcmc import McmcConfig
@@ -304,7 +304,7 @@ def _targets(xb, yb, ts, mcmc_cfg: McmcConfig | None = None, rng=None) -> np.nda
     """
     if mcmc_cfg is None:
         return ou_conditional_scores_batch(xb, yb, ts, DP_CEILING)
-    seeds = range(len(ts)) if rng is None else [int(rng.integers(2**63)) for _ in ts]
+    seeds = range(len(ts)) if rng is None else rng.integers(2**63, size=len(ts))
     return ou_conditional_scores_mcmc(xb, yb, ts, seeds, mcmc_cfg)
 
 
@@ -470,7 +470,8 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
     The step is ``cfg.step_size * _step_scale(it, cfg.iterations)``: linear
     warmup, then cosine decay to zero (see the module docstring). A
     non-finite loss or one above ``cfg.divergence_threshold`` raises
-    TrainingDiverged.
+    TrainingDiverged. Exact targets come from the subset DP: exact mode
+    above ``DP_CEILING`` points raises CapacityError before any work.
     """
     clouds = [as_points(c) for c in dataset]
     if not clouds:
@@ -479,6 +480,11 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
     if any(c.shape != shape for c in clouds):
         raise ShapeMismatchError("all dataset clouds must share one (N, d) shape")
     n, d = shape
+    if cfg.target_mode == "exact" and n > DP_CEILING:
+        raise CapacityError(
+            f"exact training targets come from the subset DP, limited to N <= {DP_CEILING}, "
+            f"got N = {n}; use target_mode='mcmc' instead"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(clouds))

@@ -372,6 +372,18 @@ class TestTrajectories:
         assert code == cli.EXIT_DOMAIN
         assert "--checkpoint" in err
 
+    @pytest.mark.parametrize("flag", [["--burn-in", "5"], ["--thinning", "2"]])
+    def test_reverse_mcmc_source_rejects_swap_chain_flags(self, clouds, capsys, flag):
+        # Its targets come from block-Gibbs chains, which read only --k and --seed.
+        x, y, _ = clouds
+        code, out, err = run_cli(
+            capsys,
+            ["reverse", "--init", y, "--ref", x, "--score-source", "mcmc", "--steps", "4", *flag],
+        )
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert "burn_in, thinning and always_accept" in err
+
     def test_forward_has_no_cap_flag(self, clouds, capsys):
         x, _, _ = clouds
         code, _, err = run_cli(capsys, ["forward", "--x", x, "--cap", "9"])

@@ -1,12 +1,13 @@
-"""Property tests of the batched swap chains against lone chains.
+"""Property tests of batched chains against lone chains.
 
-Row r of ``_chains`` must be, bit for bit, the chain that ``mcmc_sample``
-runs with seed seeds[r], and the chain of the per-step loop below, which
-draws each slot with ``bisect_right``. Row r of ``ou_conditional_scores_mcmc``
-must be the score ``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and
-64 clouds with N = 1..8 mix, in one batch, times from 1e-300 to 10: rows
-whose inverse probabilities overflow (the log-domain test), rows of far
-points whose cost rows are all -inf, repeated points, and benign rows.
+Row r of ``_chains`` must be, bit for bit, the swap chain that
+``mcmc_sample`` runs with seed seeds[r], and the chain of the per-step loop
+below, which draws each slot with ``bisect_right``. Row r of the block-Gibbs
+targets ``ou_conditional_scores_mcmc`` must be, bit for bit, the score
+``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64 clouds with
+N = 1..8 mix, in one batch, times from 1e-300 to 10: rows whose inverse
+probabilities overflow (the log-domain test), rows of far points whose cost
+rows are all -inf, repeated points, and benign rows.
 """
 
 import math
@@ -73,11 +74,14 @@ def lone_chain(entries, start, seed, burn_in, thinning, k, always_accept):
 
 
 @st.composite
-def batches(draw, min_log10_t):
+def batches(draw, min_log10_t, swap_chain=True):
     """(x, y, ts, seeds, cfg): B clouds of N points, each row its own t.
 
     Rows are benign, have repeated points of x (tied permutations), or have
-    x scaled by 1e6, so that at tiny t whole cost rows are -inf.
+    x scaled by 1e6, so that at tiny t whole cost rows are -inf. The config
+    sets the swap chain's burn_in, thinning and always_accept only when
+    ``swap_chain``; the block-Gibbs targets read k and seed alone, and k up
+    to 80 gives them up to 10 chains per target.
     """
     b = draw(st.sampled_from([1, 2, 64]))
     n = draw(st.integers(1, 8))
@@ -91,12 +95,14 @@ def batches(draw, min_log10_t):
     x[kind == 2] *= 1e6
     ts = 10.0 ** rng.uniform(min_log10_t, 1.0, size=b)
     seeds = [int(s) for s in rng.integers(2**63, size=b)]
-    cfg = McmcConfig(
-        k=draw(st.integers(1, 8)),
-        burn_in=draw(st.one_of(st.none(), st.integers(0, 20))),
-        thinning=draw(st.one_of(st.none(), st.integers(1, 3))),
-        always_accept=draw(st.booleans()),
-    )
+    cfg = McmcConfig(k=draw(st.integers(1, 8 if swap_chain else 80)))
+    if swap_chain:
+        cfg = replace(
+            cfg,
+            burn_in=draw(st.one_of(st.none(), st.integers(0, 20))),
+            thinning=draw(st.one_of(st.none(), st.integers(1, 3))),
+            always_accept=draw(st.booleans()),
+        )
     return x, y, ts, seeds, cfg
 
 
@@ -120,10 +126,11 @@ def test_rows_equal_lone_chains(batch):
         assert diag.acceptance_rate == accepted[r] / diag.proposal_count
 
 
-@given(batches(min_log10_t=-300.0))
+@given(batches(min_log10_t=-300.0, swap_chain=False))
 def test_batched_targets_equal_lone_targets(batch):
     x, y, ts, seeds, cfg = batch
     targets = ou_conditional_scores_mcmc(x, y, ts, seeds, cfg)
+    assert np.all(np.isfinite(targets))
     for r, seed in enumerate(seeds):
         ref = ou_conditional_score_mcmc(x[r], y[r], ts[r], replace(cfg, seed=seed))
         assert targets[r].tobytes() == ref.tobytes()

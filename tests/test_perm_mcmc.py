@@ -16,6 +16,7 @@ from permdiff.perm_mcmc import (
     McmcConfig,
     _UNIFORM_BLOCK,
     _accept_log_domain,
+    _block_gibbs,
     cost_matrix,
     log_weight,
     mcmc_sample,
@@ -231,6 +232,104 @@ class TestDetailedBalance:
                 if abs(q[sigma] * fwd - q[sigma_prime] * rev) > 1e-12:
                     violations += 1
         assert violations > 0
+
+
+def block_gibbs_transition_matrix(entries, y):
+    """One-step kernel of ``_block_gibbs`` over S_N, built from its block law.
+
+    Returns the states (slot -> point tuples, in ``permutation_array``
+    order) and the N! x N! matrix P. A block is kb = min(4, N - 1) slots
+    (N when N <= 2): with probability 1/4 a uniformly drawn kb-subset, else
+    a uniformly drawn slot and its kb - 1 nearest slots in y, ties broken by
+    index. Given the block, the step redraws the order of the points in its
+    slots with probability proportional to exp(sum of their costs), and a
+    block whose orders all weigh -inf keeps its order.
+    """
+    n = len(entries)
+    kb = n if n <= 2 else min(4, n - 1)
+    law = Counter()
+    for block in itertools.combinations(range(n), kb):
+        law[block] += 0.25 / math.comb(n, kb)
+    sq = ((y[:, None] - y[None]) ** 2).sum(axis=2)
+    for j in range(n):
+        near = sorted(range(n), key=lambda i: (i != j, sq[j, i], i))[:kb]
+        law[tuple(sorted(near))] += 0.75 / n
+    states = [tuple(p) for p in permutation_array(n).tolist()]
+    index = {s: i for i, s in enumerate(states)}
+    kernel = np.zeros((len(states), len(states)))
+    for sigma in states:
+        for block, p_block in law.items():
+            moves = []
+            for order in itertools.permutations([sigma[s] for s in block]):
+                new = list(sigma)
+                for s, point in zip(block, order):
+                    new[s] = point
+                moves.append(tuple(new))
+            logw = np.array([sum(entries[m[s], s] for s in block) for m in moves])
+            if np.all(logw == -np.inf):
+                kernel[index[sigma], index[sigma]] += p_block
+                continue
+            w = np.exp(logw - logw.max())
+            for m, p_move in zip(moves, w / w.sum()):
+                kernel[index[sigma], index[m]] += p_block * p_move
+    return states, kernel
+
+
+def one_hot_marginal(states, law):
+    """Assignment marginal [point, slot] of a law over states."""
+    n = len(states[0])
+    marg = np.zeros((n, n))
+    for sigma, p in zip(states, law):
+        marg[list(sigma), range(n)] += p
+    return marg
+
+
+class TestBlockGibbs:
+    """The block-Gibbs kernel of the MCMC training targets, as in B1 for the swap chain."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_posterior_is_invariant_and_kernel_irreducible(self, n):
+        rng = np.random.default_rng(30 + n)
+        x, y = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        if n == 4:
+            y[3] = y[1]  # tied distances: the nearest slots break ties by index
+        entries = cost_matrix(x, y, 0.35).entries
+        states, kernel = block_gibbs_transition_matrix(entries, y)
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        q = posterior_exact(x, y, 0.35)
+        assert [tuple(p) for p in q.support.tolist()] == states
+        np.testing.assert_allclose(q.probabilities() @ kernel, q.probabilities(), rtol=0, atol=1e-12)
+        reach = np.eye(len(states), dtype=bool) | (kernel > 0)
+        for _ in range(len(states).bit_length()):
+            reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        assert reach.all()
+
+    @pytest.mark.parametrize("n, tied", [(3, False), (4, False), (4, True), (5, False)])
+    def test_oracle_matches_the_kernel_in_the_code(self, n, tied):
+        # At k = 1, _block_gibbs runs one chain of four steps from the start:
+        # two burn-in steps, then two recorded ones. A recorded step adds the
+        # expected one-hot of the next state, so the mean output over seeds
+        # is the average marginal of the chain's laws after 3 and 4 steps.
+        # With all slots at one position, every slot ties with every other
+        # and a nearest block is still its slot plus the lowest others.
+        rng = np.random.default_rng(40 + n)
+        x, y = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        if tied:
+            y[:] = y[0]
+        entries = cost_matrix(x, y, 0.35).entries
+        start = np.asarray(min_cost_assignment(x, y).mapping)
+        states, kernel = block_gibbs_transition_matrix(entries, y)
+        law = np.zeros(len(states))
+        law[states.index(tuple(start.tolist()))] = 1.0
+        laws = [law := law @ kernel for _ in range(4)]
+        expected = 0.5 * (one_hot_marginal(states, laws[2]) + one_hot_marginal(states, laws[3]))
+        m = 4000
+        marg = _block_gibbs(
+            np.broadcast_to(entries, (m, n, n)), np.broadcast_to(y, (m, n, 2)),
+            np.broadcast_to(start, (m, n)), range(m), 1,
+        )
+        se = marg.std(axis=0, ddof=1) / math.sqrt(m)
+        assert np.all(np.abs(marg.mean(axis=0) - expected) <= 4.0 * se + 1e-12)
 
 
 class TestMcmcSample:

@@ -8,8 +8,8 @@ import pytest
 
 from permdiff.cloud import Permutation, apply, min_cost_assignment, permutation_array
 from permdiff.errors import CapacityError, DomainError
-from permdiff.heat_kernel import quotient_log_heat_kernel_exact
-from permdiff.ou_sde import quotient_transition_log_density
+from permdiff.heat_kernel import DP_CEILING, quotient_log_heat_kernel_exact
+from permdiff.ou_sde import ou_coefficients, quotient_transition_log_density
 from permdiff.perm_mcmc import (
     EMPIRICAL,
     McmcConfig,
@@ -23,6 +23,7 @@ from permdiff.quotient_score import (
     ou_conditional_score_exact,
     ou_conditional_score_mcmc,
     ou_conditional_scores_batch,
+    ou_conditional_scores_mcmc,
     per_perm_score,
     symmetrized_score_exact,
     symmetrized_score_mcmc,
@@ -226,6 +227,48 @@ class TestOuConditionalScoresBatch:
         np.testing.assert_array_equal(ou_conditional_scores_batch(x0[None], x0[None], [t])[0], zero)
         np.testing.assert_array_equal(ou_conditional_score_exact(x0, x0, t), zero)
         np.testing.assert_array_equal(ou_conditional_score_mcmc(x0, x0, t, McmcConfig()), zero)
+
+    @pytest.mark.parametrize(
+        "cfg", [McmcConfig(burn_in=5), McmcConfig(thinning=2), McmcConfig(always_accept=True)]
+    )
+    def test_mcmc_targets_reject_swap_chain_settings(self, cfg):
+        x0 = np.random.default_rng(28).standard_normal((3, 2))
+        with pytest.raises(DomainError, match="burn_in, thinning and always_accept"):
+            ou_conditional_score_mcmc(x0, x0, 0.5, cfg)
+        with pytest.raises(DomainError, match="burn_in, thinning and always_accept"):
+            ou_conditional_scores_mcmc(x0[None], x0[None], [0.5], [0], cfg)
+
+    def test_far_points_at_tiny_time_give_finite_mcmc_targets(self):
+        # At t = 1e-300 the costs of points scaled by 1e6 overflow to -inf, so
+        # that some blocks weigh -inf in every order; such a block keeps its
+        # current order.
+        rng = np.random.default_rng(27)
+        x0 = 1e6 * rng.standard_normal((8, 5, 2))
+        y = rng.standard_normal((8, 5, 2))
+        with np.errstate(over="ignore"):
+            targets = ou_conditional_scores_mcmc(x0, y, np.full(8, 1e-300), range(8), McmcConfig())
+        assert np.all(np.isfinite(targets))
+
+    def test_mcmc_targets_beat_the_swap_chain_at_n10(self):
+        # Variance-weighted squared error against the exact DP targets over a
+        # fixed batch at the training time mix, k = 32 for both estimators.
+        rng = np.random.default_rng(29)
+        template = rng.standard_normal((10, 2))
+        x0 = template + 0.05 * rng.standard_normal((64, 10, 2))
+        ts = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 64))
+        decay, var = ou_coefficients(ts)
+        y = decay[:, None, None] * x0 + np.sqrt(var)[:, None, None] * rng.standard_normal(x0.shape)
+        exact = ou_conditional_scores_batch(x0, y, ts, DP_CEILING)
+        blocks = ou_conditional_scores_mcmc(x0, y, ts, range(64), McmcConfig(k=32))
+        swaps = np.stack([
+            symmetrized_score_mcmc(d * x, yr, v / 2.0, McmcConfig(k=32, seed=r))
+            for r, (x, yr, d, v) in enumerate(zip(x0, y, decay, var))
+        ])
+
+        def weighted_error(est):
+            return float((var * ((est - exact) ** 2).sum(axis=(1, 2))).mean())
+
+        assert weighted_error(blocks) <= weighted_error(swaps)
 
     def test_rejects_bad_shapes_and_times(self):
         x0 = np.zeros((2, 3, 2))

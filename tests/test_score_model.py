@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,29 +299,32 @@ class TestTrain:
     def test_mcmc_training_above_the_exact_cap(self, n):
         # N = 10 is above the default cap of 9: exact targets, in the loop and
         # the eval set, come from the subset DP. N = 17 is above the DP
-        # ceiling: MCMC training uses MCMC eval targets, exact training fails.
+        # ceiling: MCMC training uses MCMC eval targets, exact training fails
+        # at the start, naming the DP's limit, also when it would train nothing.
         data = make_synthetic_dataset("jittered-template", 16, n, 2, 0)
         ckpt = train(data, TrainConfig(target_mode="mcmc", iterations=2, batch_size=4))
         assert len(ckpt.holdout_curve) == 2
         assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
         exact = TrainConfig(target_mode="exact", iterations=2, batch_size=4)
         if n > DP_CEILING:
-            with pytest.raises(CapacityError):
-                train(data, exact)
+            for cfg in (exact, replace(exact, iterations=0)):
+                with pytest.raises(CapacityError, match=f"N <= {DP_CEILING}.*mcmc"):
+                    train(data, cfg)
         else:
             ckpt = train(data, exact)
             assert np.all(np.isfinite([v for _, v in ckpt.train_loss_curve]))
             assert np.all(np.isfinite([v for _, v in ckpt.holdout_curve]))
 
     def test_seeded_mcmc_training_is_pinned(self):
-        # Pinned with the noise variance computed as -expm1(-t); the earlier
-        # pin, with 1 - e^{-t}, differed by at most 1.1e-17 in any parameter.
+        # Pinned with block-Gibbs MCMC targets (Rao-Blackwellised marginals of
+        # ceil(k / 8) chains per target); the earlier pin, with swap-chain
+        # targets, differed in all 770 parameters, by at most 3.9e-4.
         data = make_synthetic_dataset("jittered-template", 12, 7, 2, 3)
         cfg = TrainConfig(target_mode="mcmc", iterations=3, batch_size=8, mcmc_k=4,
                           widths=(16, 16), seed=5)
         params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
         assert hashlib.sha256(params.tobytes()).hexdigest() == (
-            "c85cfabe8b731697a513e7c5acb3b2730e0c4a4df58126811b592ed0d9b68187"
+            "1b28f801dd0738935a45b59bba4c4dac2290517a59327d1853572fd1e5ff9b85"
         )
 
     def test_eval_set_above_the_dp_ceiling_matches_per_pair_chains(self):
