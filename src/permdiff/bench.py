@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .cloud import ENUMERATION_CAP, PointCloud, as_points, canonicalize
+from .cloud import PointCloud, as_points, canonicalize
 from .errors import DomainError
 from .ou_sde import NoiseSchedule
 from .perm_mcmc import McmcConfig
@@ -189,7 +189,6 @@ def run_estimator_study(
     k_grid: tuple[int, ...] = (8, 32, 128, 512),
     replicates: int = 100,
     scale: float = 1.0,
-    cap: int = ENUMERATION_CAP,
 ) -> EstimatorStudy:
     """Mean L2 error of the MCMC score per K against the exact one, with a log-log slope."""
     if list(k_grid) != sorted(set(k_grid)) or min(k_grid) < 1:
@@ -197,7 +196,7 @@ def run_estimator_study(
     if replicates < 2:
         raise DomainError("need at least two replicates")
     x, y = default_study_instance(n, d, t, seed, scale)
-    exact = symmetrized_score_exact(x, y, t, cap)
+    exact = symmetrized_score_exact(x, y, t)
     children = np.random.SeedSequence(seed).spawn(len(k_grid) * replicates)
     errors = np.empty((len(k_grid), replicates))
     for ki, k in enumerate(k_grid):

@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict
 
 from . import bench, io
-from .cloud import as_points
+from .cloud import ENUMERATION_CAP, as_points
 from .errors import DomainError, ParseError, PermdiffError
 from .heat_kernel import euclid_log_heat_kernel, quotient_log_heat_kernel_exact
 from .ou_sde import (
@@ -89,12 +89,7 @@ def _load_cloud(path, elements):
 
 
 def _mcmc_config(args) -> McmcConfig:
-    return McmcConfig(
-        k=args.k,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        seed=args.seed,
-    )
+    return McmcConfig(k=args.k, seed=args.seed)
 
 
 def cmd_kernel(args) -> int:
@@ -103,7 +98,7 @@ def cmd_kernel(args) -> int:
     if args.mode == "euclid":
         value = euclid_log_heat_kernel(x, y, args.t)
     else:
-        value = quotient_log_heat_kernel_exact(x, y, args.t, args.cap)
+        value = quotient_log_heat_kernel_exact(x, y, args.t)
     _emit(args, _dump({"log_density": value, "t": args.t, "n": x.n, "d": x.d, "mode": args.mode}))
     return EXIT_OK
 
@@ -135,7 +130,7 @@ def cmd_score(args) -> int:
     x = _load_cloud(args.x, args.elements)
     y = _load_cloud(args.y, args.elements)
     if args.mode == "exact":
-        score = symmetrized_score_exact(x, y, args.t, args.cap)
+        score = symmetrized_score_exact(x, y, args.t)
         diagnostics = None
     else:
         score, diag = symmetrized_score_mcmc(x, y, args.t, _mcmc_config(args), with_diagnostics=True)
@@ -171,7 +166,7 @@ def cmd_reverse(args) -> int:
             raise DomainError("--ref is required for exact or mcmc score sources")
         ref = as_points(_load_cloud(args.ref, args.elements))
         if args.score_source == "exact":
-            score_fn = lambda y, t: ou_conditional_score_exact(ref, y, t, args.cap)
+            score_fn = lambda y, t: ou_conditional_score_exact(ref, y, t)
         else:
             base = _mcmc_config(args)
             score_fn = lambda y, t: ou_conditional_score_mcmc(ref, y, t, base)
@@ -264,7 +259,7 @@ def cmd_sample(args) -> int:
 def cmd_bench_score(args) -> int:
     study = bench.run_estimator_study(
         n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=args.k_grid,
-        replicates=args.replicates, cap=args.cap,
+        replicates=args.replicates,
     )
     _emit(args, _dump(study.to_dict()))
     if args.csv:
@@ -317,13 +312,13 @@ def _add_cloud_pair(p):
 
 _SHARED_FLAGS = {
     "seed": dict(type=int, default=0, help="RNG seed for all randomness"),
-    "cap": dict(type=int, default=9, help="largest N for exact evaluation"),
+    "k": dict(type=int, default=32, help="retained MCMC samples"),
     "elements": dict(help="comma-separated element table for .xyz input"),
 }
 
 
 def _add_common(p, *shared, out_required=False):
-    """--out, -v and those of the shared flags --seed, --cap, --elements named."""
+    """--out, -v and those of the shared flags --seed, --k, --elements named."""
     p.add_argument(
         "--out", required=out_required,
         help="output path" if out_required else "write data here instead of stdout",
@@ -331,12 +326,6 @@ def _add_common(p, *shared, out_required=False):
     for name in shared:
         p.add_argument("--" + name, **_SHARED_FLAGS[name])
     p.add_argument("-v", "--verbose", action="store_true")
-
-
-def _add_mcmc_flags(p):
-    p.add_argument("--k", type=int, default=32, help="retained MCMC samples")
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--thinning", type=int, default=None)
 
 
 def _add_schedule_flags(p, horizon=5.0, steps=200, grid="uniform"):
@@ -385,20 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="evaluate a log heat kernel")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("euclid", "quotient-exact"), default="quotient-exact")
-    _add_common(p, "cap", "elements")
+    _add_common(p, "elements")
 
     p = sub.add_parser("posterior", help="posterior over permutations")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("exact", "mcmc"), default="exact")
-    _add_mcmc_flags(p)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="largest N to enumerate")
     p.add_argument("--diagnostics", help="sidecar JSON path for chain diagnostics")
-    _add_common(p, "seed", "cap", "elements")
+    _add_common(p, "seed", "k", "elements")
 
     p = sub.add_parser("score", help="permutation-symmetrized score")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("exact", "mcmc"), default="exact")
-    _add_mcmc_flags(p)
-    _add_common(p, "seed", "cap", "elements")
+    _add_common(p, "seed", "k", "elements")
 
     p = sub.add_parser("forward", help="noise a cloud along a schedule")
     p.add_argument("--x", required=True, help="initial cloud file")
@@ -412,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="reference cloud for exact/mcmc score sources")
     p.add_argument("--checkpoint", help="model checkpoint for --score-source model")
     _add_schedule_flags(p)
-    _add_mcmc_flags(p)
     p.add_argument("--assignment-trace", action="store_true", dest="assignment_trace")
-    _add_common(p, "seed", "cap", "elements")
+    _add_common(p, "seed", "k", "elements")
 
     p = sub.add_parser("train", help="train the equivariant score network")
     p.add_argument("--data", required=True, help="JSONL dataset path")
@@ -435,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=int_list, default="8,32,128,512", dest="k_grid")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--csv", help="optional per-K CSV table")
-    _add_common(p, "seed", "cap")
+    _add_common(p, "seed")
 
     p = sub.add_parser("bench-gen", help="end-to-end toy generation study")
     _add_dataset_flags(p)

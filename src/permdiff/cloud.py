@@ -18,8 +18,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
-# Default cap on N for exact evaluation, by enumeration or by the subset DP.
-# 9! = 362880 terms keeps a single enumeration around a second.
+# Default cap on N where all N! permutations are enumerated (the exact
+# posterior, the per-permutation kernel terms, the ELBO): 9! = 362880 terms
+# keeps a single enumeration around a second. The subset DP behind the exact
+# kernels and scores is limited only by heat_kernel.DP_CEILING.
 ENUMERATION_CAP = 9
 
 
@@ -206,7 +208,11 @@ def permutation_array(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
     Raises CapacityError above the enumeration cap; callers wanting larger N
     should switch to the MCMC estimators.
     """
-    check_enumeration_cap(n, cap)
+    if n > cap:
+        raise CapacityError(
+            f"exact evaluation over all {n}! permutations exceeds the cap of N <= {cap}; "
+            "use the MCMC estimator instead"
+        )
     return _permutation_table(n)
 
 
@@ -216,11 +222,3 @@ def _permutation_table(n: int) -> np.ndarray:
     assert arr.shape == (math.factorial(n), n)
     arr.setflags(write=False)
     return arr
-
-
-def check_enumeration_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    if n > cap:
-        raise CapacityError(
-            f"exact evaluation over all {n}! permutations exceeds the cap of N <= {cap}; "
-            "use the MCMC estimator instead"
-        )

@@ -23,7 +23,7 @@ class DomainError(PermdiffError):
 
 
 class CapacityError(PermdiffError):
-    """An exact sum over S_N was requested above the caller's cap on N or the DP ceiling."""
+    """An exact sum over S_N was requested above the enumeration cap or the DP ceiling."""
 
     category = "capacity"
 

@@ -9,12 +9,14 @@ Two exact cores serve every sum over S_N:
 - ``_subset_dp`` gives log Z = log sum_s exp(sum_j C[s(j), j]) and the
   assignment marginals of a batch of N x N log affinities by a dynamic
   program over point subsets (Bellman / Held-Karp), in O(N 2^N) time and
-  memory per matrix, for N <= ``DP_CEILING``. The kernel, the transition
-  and marginal densities, the exact scores and the training targets use it.
+  memory per matrix. The kernel, the transition and marginal densities,
+  the exact scores and the training targets use it; their one limit is
+  N <= ``DP_CEILING``.
 - ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
   They stay where a weight is needed for every permutation or a set of
   sampled permutations is given: the per-permutation kernel terms, the
-  exact posterior, the ELBO and the swap chain's sample sets.
+  exact posterior, the ELBO and the swap chain's sample sets. Enumeration
+  takes a cap on N, ``ENUMERATION_CAP`` (9) by default.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ import numpy as np
 from .cloud import (
     ENUMERATION_CAP,
     as_points,
-    check_enumeration_cap,
     check_same_shape,
     pairwise_sq_dists,
     permutation_array,
 )
 from .errors import CapacityError, DomainError
 
-# Largest N the subset DP accepts, whatever the caller's cap: it keeps
-# N 2^(N-1) local weights per matrix, 4 MB at N = 16.
+# Largest N the subset DP accepts: it keeps N 2^(N-1) local weights per
+# matrix, 4 MB at N = 16.
 DP_CEILING = 16
 # Matrices per DP pass are limited so that each pass keeps at most about this
 # many weights and temporaries (32 MB); the passes are independent.
@@ -120,9 +121,7 @@ def _subset_tables(n: int) -> tuple:
     return tuple(layers)
 
 
-def _subset_dp(
-    log_aff: np.ndarray, cap: int = ENUMERATION_CAP, marginals: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _subset_dp(log_aff: np.ndarray, marginals: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """log Z and assignment marginals of B log-affinity matrices, (B, N, N).
 
     Z = sum over permutations s of exp(sum_j log_aff[b, s(j), j]): slot j
@@ -145,10 +144,9 @@ def _subset_dp(
     Arrays keep the batch on the last axis, so that every reduction runs
     over the first axis of a gather, as a sequence of vector operations.
 
-    Raises CapacityError above ``cap`` or above ``DP_CEILING``.
+    Raises CapacityError above ``DP_CEILING``.
     """
     b, n, _ = log_aff.shape
-    check_enumeration_cap(n, cap)
     if n > DP_CEILING:
         raise CapacityError(
             f"the exact subset DP is limited to N <= {DP_CEILING} (its memory grows as "
@@ -156,7 +154,7 @@ def _subset_dp(
         )
     rows = max(1, _DP_BUDGET // (n << n))
     if b > rows:
-        parts = [_subset_dp(log_aff[i : i + rows], cap, marginals) for i in range(0, b, rows)]
+        parts = [_subset_dp(log_aff[i : i + rows], marginals) for i in range(0, b, rows)]
         log_z = np.concatenate([p[0] for p in parts])
         return log_z, np.concatenate([p[1] for p in parts]) if marginals else None
     tables = _subset_tables(n)
@@ -189,10 +187,10 @@ def _subset_dp(
     return f[0], marg.transpose(2, 1, 0)
 
 
-def _log_kernels(x: np.ndarray, y: np.ndarray, t: float, cap: int) -> np.ndarray:
+def _log_kernels(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """Log quotient heat kernels at time t, in one DP pass, of clouds x (B, N, d) to y."""
     n, d = x.shape[-2:]
-    log_z, _ = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), cap, marginals=False)
+    log_z, _ = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), marginals=False)
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
 
 
@@ -219,12 +217,12 @@ def quotient_log_kernel_terms(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + terms
 
 
-def quotient_log_heat_kernel_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> float:
+def quotient_log_heat_kernel_exact(x, y, t: float) -> float:
     """log sum over all permutations sigma of the Euclidean kernel at (x, sigma(y))."""
     t = _check_time(t)
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    return float(_log_kernels(px[None], py, t, cap)[0])
+    return float(_log_kernels(px[None], py, t)[0])
 
 
 class SemigroupResidual(NamedTuple):
@@ -239,7 +237,6 @@ def quotient_kernel_semigroup_residual(
     t: float,
     m: int,
     seed: int,
-    cap: int = ENUMERATION_CAP,
 ) -> SemigroupResidual:
     """Monte Carlo check of the Chapman-Kolmogorov identity on the quotient.
 
@@ -258,10 +255,10 @@ def quotient_kernel_semigroup_residual(
     n, d = px.shape
     rng = np.random.default_rng(seed)
     z = px[None, :, :] + math.sqrt(2.0 * s) * rng.standard_normal((m, n, d))
-    vals = np.exp(_log_kernels(z, py, t, cap))
+    vals = np.exp(_log_kernels(z, py, t))
     estimate = float(vals.mean())
     std_error = float(vals.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
-    exact = math.exp(quotient_log_heat_kernel_exact(px, py, s + t, cap))
+    exact = math.exp(quotient_log_heat_kernel_exact(px, py, s + t))
     return SemigroupResidual(abs(estimate - exact), std_error)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cloud import (
-    ENUMERATION_CAP,
     Permutation,
     PointCloud,
     as_points,
@@ -142,19 +141,15 @@ def forward_trajectory(x0, schedule: NoiseSchedule, seed) -> Trajectory:
     return Trajectory(times=schedule.grid.copy(), states=tuple(states))
 
 
-def quotient_transition_log_density(
-    x, y, s: float, t: float, cap: int = ENUMERATION_CAP
-) -> float:
+def quotient_transition_log_density(x, y, s: float, t: float) -> float:
     """log sum over sigma of N(sigma(y); decay * x, variance * I), the kernel at variance / 2."""
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
     tr = ou_transition(s, t)
-    return float(_log_kernels(tr.decay * px[None], py, tr.variance / 2.0, cap)[0])
+    return float(_log_kernels(tr.decay * px[None], py, tr.variance / 2.0)[0])
 
 
-def quotient_marginal_log_density(
-    dataset: Sequence, y, t: float, cap: int = ENUMERATION_CAP
-) -> float:
+def quotient_marginal_log_density(dataset: Sequence, y, t: float) -> float:
     """Data-averaged marginal: log mean over dataset clouds of the transition."""
     clouds = [as_points(x) for x in dataset]
     if not clouds:
@@ -163,7 +158,7 @@ def quotient_marginal_log_density(
     for px in clouds:
         check_same_shape(px, py)
     tr = ou_transition(0.0, t)
-    logs = _log_kernels(tr.decay * np.stack(clouds), py, tr.variance / 2.0, cap)
+    logs = _log_kernels(tr.decay * np.stack(clouds), py, tr.variance / 2.0)
     return float(logsumexp(logs) - math.log(len(logs)))
 
 

@@ -2,10 +2,13 @@
 
 q(sigma) is the softmax over S_N of I(sigma) = -||x - sigma(y)||^2 / (4t),
 the soft assignment of noised points to clean points. Exact normalization
-enumerates all N! permutations; above the cap a Metropolis-Hastings chain
-over transpositions samples q without ever normalizing it. The MCMC
-training targets use a block-Gibbs chain instead, ``_block_gibbs``, which
-returns Rao-Blackwellised assignment marginals rather than samples.
+enumerates all N! permutations, up to a cap on N (``ENUMERATION_CAP`` by
+default). ``mcmc_sample`` samples q without ever normalizing it, by a
+Metropolis-Hastings chain over transpositions with a fixed burn-in of 50N
+steps and thinning N; ``McmcConfig`` sets only the sample count and the
+seed. The MCMC training targets use a block-Gibbs chain instead,
+``_block_gibbs``, which returns Rao-Blackwellised assignment marginals
+rather than samples.
 """
 
 from __future__ import annotations
@@ -107,13 +110,20 @@ class PermDistribution:
 def exact_from_log_weights(
     n: int, raw_log_weights: np.ndarray, cap: int = ENUMERATION_CAP
 ) -> PermDistribution:
-    """Normalize raw log weights over the canonical enumeration of S_n."""
+    """Normalize raw log weights over the canonical enumeration of S_n.
+
+    Raises DomainError when no weight is finite (log Z = -inf: far points
+    at tiny t), where the posterior is undefined.
+    """
     lw = np.asarray(raw_log_weights, dtype=float)
     if lw.shape != (math.factorial(n),):
         raise DomainError(
             f"expected {math.factorial(n)} log weights for S_{n}, got {lw.shape}"
         )
-    lw = lw - logsumexp(lw)
+    log_z = logsumexp(lw)
+    if log_z == -math.inf:
+        raise DomainError("no permutation has a finite weight (far points at tiny t)")
+    lw = lw - log_z
     return PermDistribution(permutation_array(n, cap), lw, EXACT)
 
 
@@ -125,27 +135,18 @@ def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribut
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain parameters. ``burn_in`` and ``thinning`` default to 50N and N.
+    """MCMC settings: ``k`` retained samples (k >= 1) and the ``seed``.
 
-    ``burn_in``, ``thinning`` and ``always_accept`` set the swap chain of
-    ``mcmc_sample``; the block-Gibbs training targets read only ``k`` and
-    ``seed``.
+    The swap chain of ``mcmc_sample`` keeps k states; the block-Gibbs
+    training targets run ceil(k / 8) chains.
     """
 
     k: int = 32
-    burn_in: int | None = None
-    thinning: int | None = None
     seed: int = 0
-    always_accept: bool = False  # ablation only; does not target q
 
-    def resolve(self, n: int) -> tuple[int, int, int]:
-        burn_in = 50 * n if self.burn_in is None else self.burn_in
-        thinning = n if self.thinning is None else self.thinning
+    def __post_init__(self):
         if self.k < 1:
             raise DomainError("retained sample count k must be >= 1")
-        if burn_in < 0 or thinning < 1:
-            raise DomainError("need burn_in >= 0 and thinning >= 1")
-        return burn_in, thinning, self.k
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,6 @@ def _chains(
     burn_in: int,
     thinning: int,
     k: int,
-    always_accept: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run B independent swap chains, one per cost matrix: entries (B, N, N).
 
@@ -238,7 +238,7 @@ def _chains(
                         ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
                     else:
                         ok = u2 * den < inv[i][a] + inv_j[b]
-                    if always_accept or ok:
+                    if ok:
                         sigma[a] = j
                         sigma[b] = i
                         slot_of[i] = b
@@ -406,20 +406,18 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     it from a table of inverse row probabilities (no exp per step), in the
     log domain when an entry of that table overflows at small t.
     Detailed balance is verified exhaustively in tests. b = a proposes the
-    identity move and counts as accepted. ``always_accept`` accepts every
-    proposal (an ablation whose chain does not target q).
+    identity move and counts as accepted.
 
-    This is the one-chain case of ``_chains``.
+    The chain keeps every N-th state after a burn-in of 50N steps, until it
+    has ``cfg.k``. This is the one-chain case of ``_chains``.
     """
     entries = cost_matrix(x, y, t).entries
     n = entries.shape[0]
-    burn_in, thinning, k = cfg.resolve(n)
+    burn_in, thinning, k = 50 * n, n, cfg.k
     # Start at the mode: at small t a chain started elsewhere can settle in
     # a local mode that no single transposition leaves.
     start = np.asarray(min_cost_assignment(x, y).mapping)
-    states, accepted = _chains(
-        entries[None], start[None], [cfg.seed], burn_in, thinning, k, cfg.always_accept
-    )
+    states, accepted = _chains(entries[None], start[None], [cfg.seed], burn_in, thinning, k)
     support = states[0]
     total = burn_in + thinning * k
     dist = PermDistribution(support, np.full(k, -math.log(k)), EMPIRICAL)

@@ -44,18 +44,22 @@ def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
     return (px[sigma.as_array()] - py) / (2.0 * t)
 
 
-def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray, cap: int) -> np.ndarray:
+def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Exact symmetrized scores (P^T x - y) / (2t) of B pairs: x, y (B, N, d), t (B,).
 
     P is the posterior assignment marginal over all of S_N, from the subset
-    DP of the cost matrices -||x_i - y_j||^2 / (4t).
+    DP of the cost matrices -||x_i - y_j||^2 / (4t). Raises DomainError when
+    no permutation of a pair has a finite weight (log Z = -inf: far points
+    at tiny t), where P is undefined.
     """
     t = t[:, None, None]
-    _, marg = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), cap)
+    log_z, marg = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t))
+    if np.isneginf(log_z).any():
+        raise DomainError("no permutation has a finite weight (far points at tiny t)")
     return (np.swapaxes(marg, 1, 2) @ x - y) / (2.0 * t)
 
 
-def symmetrized_score_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def symmetrized_score_exact(x, y, t: float) -> np.ndarray:
     """Posterior-weighted mean of per-permutation scores over all of S_N.
 
     Equals the gradient of the exact log quotient kernel in y.
@@ -63,7 +67,7 @@ def symmetrized_score_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.nd
     t = _check_time(t)
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    return _exact_scores(px[None], py[None], np.array([t]), cap)[0]
+    return _exact_scores(px[None], py[None], np.array([t]))[0]
 
 
 def symmetrized_score_mcmc(
@@ -103,11 +107,11 @@ def _ou_triples(x0_batch, y_batch, ts) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return decay[:, None, None] * xb, yb, tau
 
 
-def ou_conditional_score_exact(x0, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def ou_conditional_score_exact(x0, y, t: float) -> np.ndarray:
     """Gradient in y of the log symmetrized forward-transition density from x0 (a batch of 1)."""
     px, py = as_points(x0), as_points(y)
     check_same_shape(px, py)
-    return ou_conditional_scores_batch(px[None], py[None], [t], cap)[0]
+    return ou_conditional_scores_batch(px[None], py[None], [t])[0]
 
 
 def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
@@ -117,18 +121,13 @@ def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
     return ou_conditional_scores_mcmc(px[None], py[None], [t], [cfg.seed], cfg)[0]
 
 
-def ou_conditional_scores_batch(
-    x0_batch: np.ndarray,
-    y_batch: np.ndarray,
-    ts: np.ndarray,
-    cap: int = ENUMERATION_CAP,
-) -> np.ndarray:
+def ou_conditional_scores_batch(x0_batch: np.ndarray, y_batch: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Exact conditional scores for a batch of (x0, y, t) triples at once.
 
     One pass of the exact score core at (decay * x0, y, tau) for all B
     triples.
     """
-    return _exact_scores(*_ou_triples(x0_batch, y_batch, ts), cap)
+    return _exact_scores(*_ou_triples(x0_batch, y_batch, ts))
 
 
 def ou_conditional_scores_mcmc(
@@ -144,25 +143,23 @@ def ou_conditional_scores_mcmc(
     Rao-Blackwellised assignment marginals of ``ceil(cfg.k / 8)`` block-Gibbs
     chains at (x, y, tau) on seed seeds[r], started at the most probable
     assignment (``perm_mcmc._block_gibbs``). The B targets step together in
-    one call, and row r equals the lone call on seed seeds[r]. ``burn_in``,
-    ``thinning`` and ``always_accept`` describe the swap chain of
-    ``mcmc_sample`` and raise DomainError when set.
+    one call, and row r equals the lone call on seed seeds[r].
+
+    The targets are biased, and the bias does not shrink with k: every
+    chain starts at the most probable assignment and makes one burn-in
+    sweep whatever k is. At N = 8, t = 5 the RMS score error over the
+    K^-1/2 error of i.i.d. draws grows from about 1.5 at K = 64 to 6-8 at
+    K = 4096; that of the swap chain of ``mcmc_sample`` stays near 1.4.
     """
-    if cfg.burn_in is not None or cfg.thinning is not None or cfg.always_accept:
-        raise DomainError(
-            "MCMC targets read only k and seed; burn_in, thinning and always_accept "
-            "describe the swap chain of mcmc_sample"
-        )
     xb, yb, tau = _ou_triples(x0_batch, y_batch, ts)
     if len(seeds) != xb.shape[0]:
         raise DomainError("expected one seed per cloud")
-    _, _, k = cfg.resolve(xb.shape[1])
     sq = pairwise_sq_dists(xb, yb)
     starts = np.empty(sq.shape[:2], dtype=np.intp)
     for r, cost in enumerate(sq):
         rows, cols = linear_sum_assignment(cost)
         starts[r, cols] = rows
-    marg = _block_gibbs(-sq / (4.0 * tau[:, None, None]), yb, starts, seeds, k)
+    marg = _block_gibbs(-sq / (4.0 * tau[:, None, None]), yb, starts, seeds, cfg.k)
     return (np.swapaxes(marg, 1, 2) @ xb - yb) / (2.0 * tau[:, None, None])
 
 

@@ -303,7 +303,7 @@ def _targets(xb, yb, ts, mcmc_cfg: McmcConfig | None = None, rng=None) -> np.nda
     from ``rng``, or on seed r when no ``rng`` is given.
     """
     if mcmc_cfg is None:
-        return ou_conditional_scores_batch(xb, yb, ts, DP_CEILING)
+        return ou_conditional_scores_batch(xb, yb, ts)
     seeds = range(len(ts)) if rng is None else rng.integers(2**63, size=len(ts))
     return ou_conditional_scores_mcmc(xb, yb, ts, seeds, mcmc_cfg)
 
@@ -320,11 +320,12 @@ def dsm_loss(
     """Draw a noised cloud, regress the net onto the symmetrized score.
 
     Returns the (optionally weighted) squared error and its flat parameter
-    gradient, as the trainer computes them for a batch of one. With
-    stochastic MCMC targets the parameter gradient is an unbiased estimate
-    of the exact-target gradient, because the target enters the squared
-    error linearly; the loss itself acquires a constant offset equal to the
-    target variance.
+    gradient, as the trainer computes them for a batch of one. The target
+    enters the squared error linearly, so with MCMC targets the expected
+    gradient is that of the targets' mean, and the loss acquires a constant
+    offset equal to the target variance. The gradient is therefore biased
+    as far as the targets are: the block-Gibbs targets of
+    ``ou_conditional_scores_mcmc`` carry a bias that does not shrink with k.
     """
     if target_mode not in TRAIN_CHOICES["target_mode"]:
         raise DomainError(f"unknown target mode {target_mode!r}")

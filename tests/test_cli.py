@@ -192,11 +192,43 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "--threads" in err
 
-    def test_train_has_no_cap_flag(self, capsys):
-        argv = ["train", "--data", "d.jsonl", "--out", "o.ckpt", "--cap", "9"]
-        code, _, err = run_cli(capsys, argv)
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, "--cap") for c in ("kernel", "score", "reverse", "bench-score", "forward", "train")]
+        + [(c, f) for c in ("posterior", "score", "reverse") for f in ("--burn-in", "--thinning")],
+    )
+    def test_removed_flag_is_a_usage_error(self, clouds, capsys, command, flag):
+        # The subset DP has no cap below its ceiling, and the swap chain's
+        # burn-in and thinning are fixed, so none of these flags exists.
+        x, y, _ = clouds
+        required = {
+            "kernel": ["--x", x, "--y", y, "--t", "1"],
+            "posterior": ["--x", x, "--y", y, "--t", "1"],
+            "score": ["--x", x, "--y", y, "--t", "1"],
+            "reverse": ["--init", y, "--ref", x, "--steps", "4"],
+            "bench-score": [],
+            "forward": ["--x", x],
+            "train": ["--data", "d.jsonl", "--out", "o.ckpt"],
+        }
+        code, out, err = run_cli(capsys, [command, *required[command], flag, "5"])
         assert code == cli.EXIT_USAGE
-        assert "--cap" in err
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("command", ["posterior", "score"])
+    def test_exact_far_points_at_tiny_time_are_a_domain_error(self, capsys, tmp_path, command):
+        # The far point's cost overflows to -inf in every slot, so no
+        # permutation has a finite weight and the posterior is undefined.
+        x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_cloud_text(x, np.array([[0.0], [1.0], [1e5]]))
+        write_cloud_text(y, np.array([[0.0], [1.0], [2.0]]))
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(
+                capsys, [command, "--x", str(x), "--y", str(y), "--t", "1e-300"]
+            )
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert "category=domain" in err and "finite weight" in err
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -372,23 +404,6 @@ class TestTrajectories:
         assert code == cli.EXIT_DOMAIN
         assert "--checkpoint" in err
 
-    @pytest.mark.parametrize("flag", [["--burn-in", "5"], ["--thinning", "2"]])
-    def test_reverse_mcmc_source_rejects_swap_chain_flags(self, clouds, capsys, flag):
-        # Its targets come from block-Gibbs chains, which read only --k and --seed.
-        x, y, _ = clouds
-        code, out, err = run_cli(
-            capsys,
-            ["reverse", "--init", y, "--ref", x, "--score-source", "mcmc", "--steps", "4", *flag],
-        )
-        assert code == cli.EXIT_DOMAIN
-        assert out == ""
-        assert "burn_in, thinning and always_accept" in err
-
-    def test_forward_has_no_cap_flag(self, clouds, capsys):
-        x, _, _ = clouds
-        code, _, err = run_cli(capsys, ["forward", "--x", x, "--cap", "9"])
-        assert code == cli.EXIT_USAGE
-        assert "--cap" in err
 
 
 class TestTrainSampleRoundtrip:
@@ -518,9 +533,10 @@ class TestBenchCommands:
         assert "--k-grid" in err and out == ""
 
     def test_bench_score_cap_reaches_exact_reference(self, capsys):
+        # N = 10 is above the enumeration cap; the exact reference score
+        # comes from the subset DP, which needs no --cap.
         code, out, _ = run_cli(
-            capsys,
-            ["bench-score", "--n", "10", "--cap", "10", "--k-grid", "2,4", "--replicates", "2"],
+            capsys, ["bench-score", "--n", "10", "--k-grid", "2,4", "--replicates", "2"]
         )
         assert code == 0
         assert validate_lines(out, "estimator-study.json")[0]["n"] == 10

@@ -9,12 +9,14 @@ import pytest
 from permdiff.cloud import Permutation, apply
 from permdiff.errors import CapacityError, DomainError
 from permdiff.heat_kernel import (
+    DP_CEILING,
     euclid_log_heat_kernel,
     initial_condition_check,
     quotient_kernel_semigroup_residual,
     quotient_log_heat_kernel_exact,
     quotient_log_kernel_terms,
 )
+from permdiff.ou_sde import ou_transition, quotient_transition_log_density
 
 
 class TestEuclidKernel:
@@ -103,14 +105,32 @@ class TestQuotientKernel:
         assert terms.shape == (math.factorial(n),)
 
     def test_capacity_error_above_cap(self):
-        x = np.zeros((10, 1))
+        x = np.zeros((DP_CEILING + 1, 1))
         with pytest.raises(CapacityError, match="MCMC"):
             quotient_log_heat_kernel_exact(x, x, 1.0)
+        with pytest.raises(CapacityError, match="MCMC"):
+            quotient_transition_log_density(x, x, 0.1, 0.5)
+
+    def test_exact_above_the_enumeration_cap(self):
+        # y at one point c: every permutation has the same weight, so the
+        # sum over S_12 is 12! times the Euclidean kernel.
+        rng = np.random.default_rng(30)
+        n, t = 12, 0.3
+        x, c = rng.standard_normal((n, 2)), rng.standard_normal(2)
+        y = np.tile(c, (n, 1))
+        log_n_fact = math.lgamma(n + 1)
+        expected = euclid_log_heat_kernel(x, y, t) + log_n_fact
+        assert quotient_log_heat_kernel_exact(x, y, t) == pytest.approx(expected, rel=1e-13)
+        tr = ou_transition(0.1, 0.1 + t)
+        expected = euclid_log_heat_kernel(tr.decay * x, y, tr.variance / 2.0) + log_n_fact
+        value = quotient_transition_log_density(x, y, 0.1, 0.1 + t)
+        assert value == pytest.approx(expected, rel=1e-13)
 
     def test_custom_cap(self):
+        # the per-permutation terms enumerate S_N and keep their cap
         x = np.zeros((3, 1))
         with pytest.raises(CapacityError):
-            quotient_log_heat_kernel_exact(x, x, 1.0, cap=2)
+            quotient_log_kernel_terms(x, x, 1.0, cap=2)
 
 
 class TestSemigroup:

@@ -1,8 +1,9 @@
 """Property tests of batched chains against lone chains.
 
-Row r of ``_chains`` must be, bit for bit, the swap chain that
-``mcmc_sample`` runs with seed seeds[r], and the chain of the per-step loop
-below, which draws each slot with ``bisect_right``. Row r of the block-Gibbs
+Row r of ``_chains`` must be, bit for bit, the chain of the per-step loop
+below, which draws each slot with ``bisect_right``, at any burn-in and
+thinning, and on mcmc_sample's burn-in and thinning the chain that
+``mcmc_sample`` runs with seed seeds[r]. Row r of the block-Gibbs
 targets ``ou_conditional_scores_mcmc`` must be, bit for bit, the score
 ``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64 clouds with
 N = 1..8 mix, in one batch, times from 1e-300 to 10: rows whose inverse
@@ -12,7 +13,6 @@ rows are all -inf, repeated points, and benign rows.
 
 import math
 from bisect import bisect_right
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given
@@ -30,7 +30,7 @@ from permdiff.perm_mcmc import (
 from permdiff.quotient_score import ou_conditional_score_mcmc, ou_conditional_scores_mcmc
 
 
-def lone_chain(entries, start, seed, burn_in, thinning, k, always_accept):
+def lone_chain(entries, start, seed, burn_in, thinning, k):
     """The chain of one cost matrix, one uniform triple per step.
 
     Returns the retained states (k, N) and the accepted step count.
@@ -64,7 +64,7 @@ def lone_chain(entries, start, seed, burn_in, thinning, k, always_accept):
                 ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
             else:
                 ok = u2 * den < inv[i][a] + inv[j][b]
-            if always_accept or ok:
+            if ok:
                 sigma[a], sigma[b] = j, i
                 slot_of[i], slot_of[j] = b, a
                 accepted += 1
@@ -74,14 +74,13 @@ def lone_chain(entries, start, seed, burn_in, thinning, k, always_accept):
 
 
 @st.composite
-def batches(draw, min_log10_t, swap_chain=True):
-    """(x, y, ts, seeds, cfg): B clouds of N points, each row its own t.
+def batches(draw, min_log10_t, max_k):
+    """(x, y, ts, seeds, k): B clouds of N points, each row its own t.
 
     Rows are benign, have repeated points of x (tied permutations), or have
-    x scaled by 1e6, so that at tiny t whole cost rows are -inf. The config
-    sets the swap chain's burn_in, thinning and always_accept only when
-    ``swap_chain``; the block-Gibbs targets read k and seed alone, and k up
-    to 80 gives them up to 10 chains per target.
+    x scaled by 1e6, so that at tiny t whole cost rows are -inf. k is at
+    most ``max_k``; k up to 80 gives the block-Gibbs targets up to 10
+    chains per target.
     """
     b = draw(st.sampled_from([1, 2, 64]))
     n = draw(st.integers(1, 8))
@@ -95,42 +94,40 @@ def batches(draw, min_log10_t, swap_chain=True):
     x[kind == 2] *= 1e6
     ts = 10.0 ** rng.uniform(min_log10_t, 1.0, size=b)
     seeds = [int(s) for s in rng.integers(2**63, size=b)]
-    cfg = McmcConfig(k=draw(st.integers(1, 8 if swap_chain else 80)))
-    if swap_chain:
-        cfg = replace(
-            cfg,
-            burn_in=draw(st.one_of(st.none(), st.integers(0, 20))),
-            thinning=draw(st.one_of(st.none(), st.integers(1, 3))),
-            always_accept=draw(st.booleans()),
-        )
-    return x, y, ts, seeds, cfg
+    return x, y, ts, seeds, draw(st.integers(1, max_k))
 
 
-@given(batches(min_log10_t=-300.0))
-def test_rows_equal_lone_chains(batch):
-    x, y, ts, seeds, cfg = batch
+@given(
+    batches(min_log10_t=-300.0, max_k=8),
+    st.one_of(st.none(), st.integers(0, 20)),
+    st.one_of(st.none(), st.integers(1, 3)),
+)
+def test_rows_equal_lone_chains(batch, burn_in, thinning):
+    # None draws mcmc_sample's burn-in of 50N or thinning of N; rows on that
+    # schedule are also compared with mcmc_sample.
+    x, y, ts, seeds, k = batch
     n = x.shape[1]
-    burn_in, thinning, k = cfg.resolve(n)
+    burn_in = 50 * n if burn_in is None else burn_in
+    thinning = n if thinning is None else thinning
     entries = np.stack([cost_matrix(xr, yr, t).entries for xr, yr, t in zip(x, y, ts)])
     starts = np.stack([min_cost_assignment(xr, yr).mapping for xr, yr in zip(x, y)])
-    states, accepted = _chains(entries, starts, seeds, burn_in, thinning, k, cfg.always_accept)
+    states, accepted = _chains(entries, starts, seeds, burn_in, thinning, k)
     assert states.shape == (len(x), k, n) and accepted.shape == (len(x),)
     for r, seed in enumerate(seeds):
-        ref_states, ref_accepted = lone_chain(
-            entries[r], starts[r], seed, burn_in, thinning, k, cfg.always_accept
-        )
+        ref_states, ref_accepted = lone_chain(entries[r], starts[r], seed, burn_in, thinning, k)
         np.testing.assert_array_equal(states[r], ref_states)
         assert accepted[r] == ref_accepted
-        dist, diag = mcmc_sample(x[r], y[r], ts[r], replace(cfg, seed=seed))
-        np.testing.assert_array_equal(dist.support, states[r])
-        assert diag.acceptance_rate == accepted[r] / diag.proposal_count
+        if (burn_in, thinning) == (50 * n, n):
+            dist, diag = mcmc_sample(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
+            np.testing.assert_array_equal(dist.support, states[r])
+            assert diag.acceptance_rate == accepted[r] / diag.proposal_count
 
 
-@given(batches(min_log10_t=-300.0, swap_chain=False))
+@given(batches(min_log10_t=-300.0, max_k=80))
 def test_batched_targets_equal_lone_targets(batch):
-    x, y, ts, seeds, cfg = batch
-    targets = ou_conditional_scores_mcmc(x, y, ts, seeds, cfg)
+    x, y, ts, seeds, k = batch
+    targets = ou_conditional_scores_mcmc(x, y, ts, seeds, McmcConfig(k=k))
     assert np.all(np.isfinite(targets))
     for r, seed in enumerate(seeds):
-        ref = ou_conditional_score_mcmc(x[r], y[r], ts[r], replace(cfg, seed=seed))
+        ref = ou_conditional_score_mcmc(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
         assert targets[r].tobytes() == ref.tobytes()

@@ -114,9 +114,27 @@ class TestSymmetrizedScoreExact:
             )
 
     def test_capacity(self):
-        x = np.zeros((10, 1))
-        with pytest.raises(CapacityError):
-            symmetrized_score_exact(x, x, 1.0)
+        # y at one point c: every permutation has the same weight, so the
+        # posterior over S_12 (above the enumeration cap) is uniform and
+        # every slot's score is (mean(x) - c) / (2t).
+        rng = np.random.default_rng(31)
+        x, c, t = rng.standard_normal((12, 2)), rng.standard_normal(2), 0.3
+        y = np.tile(c, (12, 1))
+        expected = np.tile((x.mean(axis=0) - c) / (2.0 * t), (12, 1))
+        np.testing.assert_allclose(symmetrized_score_exact(x, y, t), expected, rtol=1e-12)
+        big = np.zeros((DP_CEILING + 1, 1))
+        with pytest.raises(CapacityError, match="MCMC"):
+            symmetrized_score_exact(big, big, 1.0)
+
+    def test_far_points_at_tiny_time_raise(self):
+        # The far point's cost is -inf in every slot: no permutation has a
+        # finite weight, so the score is undefined.
+        x, y = np.array([[0.0], [1.0], [1e5]]), np.array([[0.0], [1.0], [2.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="finite weight"):
+                symmetrized_score_exact(x, y, 1e-300)
+            with pytest.raises(DomainError, match="finite weight"):
+                ou_conditional_score_exact(x, y, 1e-300)
 
 
 class TestSymmetrizedScoreMcmc:
@@ -228,16 +246,6 @@ class TestOuConditionalScoresBatch:
         np.testing.assert_array_equal(ou_conditional_score_exact(x0, x0, t), zero)
         np.testing.assert_array_equal(ou_conditional_score_mcmc(x0, x0, t, McmcConfig()), zero)
 
-    @pytest.mark.parametrize(
-        "cfg", [McmcConfig(burn_in=5), McmcConfig(thinning=2), McmcConfig(always_accept=True)]
-    )
-    def test_mcmc_targets_reject_swap_chain_settings(self, cfg):
-        x0 = np.random.default_rng(28).standard_normal((3, 2))
-        with pytest.raises(DomainError, match="burn_in, thinning and always_accept"):
-            ou_conditional_score_mcmc(x0, x0, 0.5, cfg)
-        with pytest.raises(DomainError, match="burn_in, thinning and always_accept"):
-            ou_conditional_scores_mcmc(x0[None], x0[None], [0.5], [0], cfg)
-
     def test_far_points_at_tiny_time_give_finite_mcmc_targets(self):
         # At t = 1e-300 the costs of points scaled by 1e6 overflow to -inf, so
         # that some blocks weigh -inf in every order; such a block keeps its
@@ -258,7 +266,7 @@ class TestOuConditionalScoresBatch:
         ts = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 64))
         decay, var = ou_coefficients(ts)
         y = decay[:, None, None] * x0 + np.sqrt(var)[:, None, None] * rng.standard_normal(x0.shape)
-        exact = ou_conditional_scores_batch(x0, y, ts, DP_CEILING)
+        exact = ou_conditional_scores_batch(x0, y, ts)
         blocks = ou_conditional_scores_mcmc(x0, y, ts, range(64), McmcConfig(k=32))
         swaps = np.stack([
             symmetrized_score_mcmc(d * x, yr, v / 2.0, McmcConfig(k=32, seed=r))

@@ -144,7 +144,7 @@ def test_beyond_enumeration_the_dp_is_exact_at_the_ceiling():
     x = np.concatenate([rng.standard_normal((half, 1)), 1e3 + rng.standard_normal((half, 1))])
     y = x + 0.3 * rng.standard_normal(x.shape)
     cost = log_affinities(x, y, 0.5)
-    log_z, marg = _subset_dp(cost, cap=DP_CEILING)
+    log_z, marg = _subset_dp(cost)
     ref_lo, marg_lo = enumerated(cost[:, :half, :half])
     ref_hi, marg_hi = enumerated(cost[:, half:, half:])
     assert log_z[0] == pytest.approx(ref_lo[0] + ref_hi[0], rel=1e-12)
@@ -154,16 +154,17 @@ def test_beyond_enumeration_the_dp_is_exact_at_the_ceiling():
 
 
 def test_ceiling_holds_whatever_the_cap():
+    # The DP's one limit is its ceiling, not the enumeration cap of 9.
     cost = np.zeros((1, DP_CEILING + 1, DP_CEILING + 1))
     with pytest.raises(CapacityError, match="MCMC"):
-        _subset_dp(cost, cap=100)
-    with pytest.raises(CapacityError, match="MCMC"):
-        _subset_dp(np.zeros((1, 10, 10)))
+        _subset_dp(cost)
+    log_z, _ = _subset_dp(np.zeros((1, 10, 10)), marginals=False)
+    assert log_z[0] == pytest.approx(math.lgamma(11), rel=1e-13)
 
 
 def test_log_z_matches_closed_form_for_equal_affinities():
     # All N! permutations have weight exp(N c): log Z = N c + log N!.
     for n in (1, 4, 11):
-        log_z, marg = _subset_dp(np.full((1, n, n), -0.25), cap=n)
+        log_z, marg = _subset_dp(np.full((1, n, n), -0.25))
         assert log_z[0] == pytest.approx(-0.25 * n + math.lgamma(n + 1), rel=1e-13)
         np.testing.assert_allclose(marg[0], 1.0 / n, rtol=1e-13)
