@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .cloud import PointCloud, as_points, canonicalize
 from .errors import DomainError
@@ -23,9 +22,14 @@ from .score_model import TrainConfig, train, sample_from_model
 
 DATASET_KINDS = ("gaussian-blobs", "ring", "jittered-template")
 
+# scipy.spatial is imported inside the two functions that use it, so that
+# importing the package, and with it the CLI, loads numpy alone.
+
 
 def sorted_pairwise_distances(cloud) -> np.ndarray:
     """The N(N-1)/2 pairwise distances in increasing order (orbit-invariant)."""
+    from scipy.spatial.distance import pdist
+
     return np.sort(pdist(as_points(cloud)))
 
 
@@ -43,8 +47,15 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     pooled = np.vstack([a, b])
-    dist = squareform(pdist(pooled))
+    dist = _distance_matrix(pooled)
     return _energy_from_matrix(dist, np.arange(len(a)), np.arange(len(a), len(pooled)))
+
+
+def _distance_matrix(rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows, as a square matrix."""
+    from scipy.spatial.distance import pdist, squareform
+
+    return squareform(pdist(rows))
 
 
 def _energy_from_matrix(dist, idx_a, idx_b) -> float:
@@ -70,7 +81,7 @@ def energy_permutation_test(
         raise DomainError("need at least two feature rows per sample")
     pooled = np.vstack([a, b])
     p = na + nb
-    dist = squareform(pdist(pooled))
+    dist = _distance_matrix(pooled)
     row_sums = dist.sum(axis=1)
     total = row_sums.sum()
 

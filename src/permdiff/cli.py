@@ -81,7 +81,11 @@ def _emit(args, text: str) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """One JSON line; a non-finite float, which JSON cannot hold, is a DomainError."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError("the result is not finite (inf or NaN), which JSON cannot hold") from exc
 
 
 def _load_cloud(path, elements):

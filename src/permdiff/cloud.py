@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
@@ -163,8 +162,8 @@ def orbit_distance(x, y) -> float:
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
     cost = pairwise_sq_dists(px, py)
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(float(cost[rows, cols].sum()))
+    slot_of = np.argsort(_assignment(cost))  # the sum runs point by point
+    return math.sqrt(float(cost[np.arange(px.shape[0]), slot_of].sum()))
 
 
 def min_cost_assignment(x, y) -> Permutation:
@@ -175,11 +174,21 @@ def min_cost_assignment(x, y) -> Permutation:
     """
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    cost = pairwise_sq_dists(px, py)
+    return Permutation(tuple(_assignment(pairwise_sq_dists(px, py)).tolist()))
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """The permutation s minimizing sum_j cost[s(j), j] of a square cost matrix, as (N,) s.
+
+    scipy.optimize is imported on the first call, so that importing the
+    package loads numpy alone.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
-    mapping = np.empty(px.shape[0], dtype=np.intp)
+    mapping = np.empty(cost.shape[0], dtype=np.intp)
     mapping[cols] = rows
-    return Permutation(tuple(int(v) for v in mapping))
+    return mapping
 
 
 def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -218,7 +227,25 @@ def permutation_array(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _permutation_table(n: int) -> np.ndarray:
-    arr = np.array(list(iter_permutations(n)), dtype=np.intp)
-    assert arr.shape == (math.factorial(n), n)
+    """``iter_permutations(n)`` as an array, built from the (n - 1) table.
+
+    Heap's order is n blocks of (n - 1)! rows. Block c keeps the last entry
+    of its start state in position n - 1 and runs the first n - 1 entries
+    through the order of the (n - 1) table. The next block starts from the
+    block's last row with position n - 1 exchanged with position 0 (n odd)
+    or c (n even).
+    """
+    if n <= 1:
+        arr = np.zeros((1, n), dtype=np.intp)
+    else:
+        sub = _permutation_table(n - 1)
+        arr = np.empty((math.factorial(n), n), dtype=np.intp)
+        state = np.arange(n)
+        for c, block in enumerate(arr.reshape(n, -1, n)):
+            block[:, :-1] = state[sub]
+            block[:, -1] = state[-1]
+            state = block[-1].copy()
+            j = 0 if n % 2 else c
+            state[j], state[-1] = state[-1], state[j]
     arr.setflags(write=False)
     return arr

@@ -52,6 +52,31 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _logsumexp(a, axis: int | None = None):
+    """log sum exp(a) over ``axis`` (all axes when None), of real input.
+
+    The formula of ``scipy.special.logsumexp`` (SciPy 1.17), with equal
+    results: the m terms equal to the maximum are split out of the shifted
+    sum s, giving log1p(s / m) + log(m) + max; where that is not finite
+    (an infinite or NaN term, or every term -inf) the result is
+    log(sum(exp(a))).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axes, keepdims=True)
+        is_top = a == top
+        m = np.sum(is_top, axis=axes, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_top, -np.inf, a) - top), axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axes, keepdims=True)))
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 def _perm_sums(cost: np.ndarray, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """Permutation sums of a cost array: (..., N, N) -> (..., N!) in Heap's order.
 
@@ -190,7 +215,9 @@ def _subset_dp(log_aff: np.ndarray, marginals: bool = True) -> tuple[np.ndarray,
 def _log_kernels(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """Log quotient heat kernels at time t, in one DP pass, of clouds x (B, N, d) to y."""
     n, d = x.shape[-2:]
-    log_z, _ = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t), marginals=False)
+    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
+        log_aff = -pairwise_sq_dists(x, y) / (4.0 * t)
+    log_z, _ = _subset_dp(log_aff, marginals=False)
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
 
 

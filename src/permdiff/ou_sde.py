@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cloud import (
     Permutation,
@@ -25,7 +24,7 @@ from .cloud import (
     min_cost_assignment,
 )
 from .errors import DomainError, ScoreCallbackError
-from .heat_kernel import _check_time, _log_kernels
+from .heat_kernel import _check_time, _log_kernels, _logsumexp
 
 # Score callbacks are never evaluated below this time; the conditional score
 # scale 1/(2t) is singular at t = 0.
@@ -159,7 +158,7 @@ def quotient_marginal_log_density(dataset: Sequence, y, t: float) -> float:
         check_same_shape(px, py)
     tr = ou_transition(0.0, t)
     logs = _log_kernels(tr.decay * np.stack(clouds), py, tr.variance / 2.0)
-    return float(logsumexp(logs) - math.log(len(logs)))
+    return float(_logsumexp(logs) - math.log(len(logs)))
 
 
 def _reverse_steps(

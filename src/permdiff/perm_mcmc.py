@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cloud import (
     ENUMERATION_CAP,
     Permutation,
+    _assignment,
     as_points,
     check_same_shape,
     min_cost_assignment,
@@ -30,7 +30,7 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _NEG_MAX, _assignment_marginals, _check_time, _perm_sums
+from .heat_kernel import _NEG_MAX, _assignment_marginals, _check_time, _logsumexp, _perm_sums
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -48,7 +48,8 @@ def cost_matrix(x, y, t: float) -> CostMatrix:
     t = _check_time(t)
     px, py = as_points(x), as_points(y)
     check_same_shape(px, py)
-    entries = -pairwise_sq_dists(px, py) / (4.0 * t)
+    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
+        entries = -pairwise_sq_dists(px, py) / (4.0 * t)
     entries.setflags(write=False)
     return CostMatrix(entries, t)
 
@@ -120,7 +121,7 @@ def exact_from_log_weights(
         raise DomainError(
             f"expected {math.factorial(n)} log weights for S_{n}, got {lw.shape}"
         )
-    log_z = logsumexp(lw)
+    log_z = _logsumexp(lw)
     if log_z == -math.inf:
         raise DomainError("no permutation has a finite weight (far points at tiny t)")
     lw = lw - log_z
@@ -195,7 +196,8 @@ def _chains(
     step loop keeps only the lookups that depend on the state.
     """
     b_rows, n, _ = entries.shape
-    row_log_probs = entries - logsumexp(entries, axis=2)[:, :, None]
+    with np.errstate(invalid="ignore"):  # an all -inf row gives NaN, handled below
+        row_log_probs = entries - _logsumexp(entries, axis=2)[:, :, None]
     cum = np.cumsum(np.exp(row_log_probs), axis=2)
     cum[:, :, -1] = 1.0
     # A row whose entries are all -inf has NaN probabilities; bisect_right
@@ -410,6 +412,9 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
 
     The chain keeps every N-th state after a burn-in of 50N steps, until it
     has ``cfg.k``. This is the one-chain case of ``_chains``.
+
+    Raises DomainError when every permutation has a cost of -inf (far
+    points at tiny t), where no permutation has a finite weight.
     """
     entries = cost_matrix(x, y, t).entries
     n = entries.shape[0]
@@ -417,6 +422,11 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     # Start at the mode: at small t a chain started elsewhere can settle in
     # a local mode that no single transposition leaves.
     start = np.asarray(min_cost_assignment(x, y).mapping)
+    slots = np.arange(n)
+    far = np.isneginf(entries)
+    # The assignment with the fewest -inf costs has none if any permutation has none.
+    if far[start, slots].any() and far[_assignment(far.astype(float)), slots].any():
+        raise DomainError("no permutation has a finite weight (far points at tiny t)")
     states, accepted = _chains(entries[None], start[None], [cfg.seed], burn_in, thinning, k)
     support = states[0]
     total = burn_in + thinning * k

@@ -16,19 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 from .cloud import (
     ENUMERATION_CAP,
     Permutation,
+    _assignment,
     as_points,
     check_same_shape,
     pairwise_sq_dists,
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _check_time, _perm_sums, _subset_dp
+from .heat_kernel import _check_time, _logsumexp, _perm_sums, _subset_dp
 from .ou_sde import ou_coefficients
 from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _block_gibbs, cost_matrix, mcmc_sample
 
@@ -53,7 +52,9 @@ def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     at tiny t), where P is undefined.
     """
     t = t[:, None, None]
-    log_z, marg = _subset_dp(-pairwise_sq_dists(x, y) / (4.0 * t))
+    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
+        log_aff = -pairwise_sq_dists(x, y) / (4.0 * t)
+    log_z, marg = _subset_dp(log_aff)
     if np.isneginf(log_z).any():
         raise DomainError("no permutation has a finite weight (far points at tiny t)")
     return (np.swapaxes(marg, 1, 2) @ x - y) / (2.0 * t)
@@ -157,9 +158,10 @@ def ou_conditional_scores_mcmc(
     sq = pairwise_sq_dists(xb, yb)
     starts = np.empty(sq.shape[:2], dtype=np.intp)
     for r, cost in enumerate(sq):
-        rows, cols = linear_sum_assignment(cost)
-        starts[r, cols] = rows
-    marg = _block_gibbs(-sq / (4.0 * tau[:, None, None]), yb, starts, seeds, cfg.k)
+        starts[r] = _assignment(cost)
+    with np.errstate(over="ignore"):  # far points at tiny tau cost -inf
+        entries = -sq / (4.0 * tau[:, None, None])
+    marg = _block_gibbs(entries, yb, starts, seeds, cfg.k)
     return (np.swapaxes(marg, 1, 2) @ xb - yb) / (2.0 * tau[:, None, None])
 
 
@@ -192,7 +194,7 @@ def elbo(r: PermDistribution, x, y, t: float, cap: int = ENUMERATION_CAP) -> Elb
         raise DomainError("variational support must be the canonical enumeration of S_N")
 
     ivals = _perm_sums(entries, cap)
-    log_evidence = float(logsumexp(ivals))
+    log_evidence = float(_logsumexp(ivals))
     probs = r.probabilities()
     nz = probs > 0.0
     entropy = -float((probs[nz] * np.log(probs[nz])).sum())

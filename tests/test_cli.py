@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -222,13 +223,30 @@ class TestExitCodes:
         x, y = tmp_path / "x.txt", tmp_path / "y.txt"
         write_cloud_text(x, np.array([[0.0], [1.0], [1e5]]))
         write_cloud_text(y, np.array([[0.0], [1.0], [2.0]]))
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(
-                capsys, [command, "--x", str(x), "--y", str(y), "--t", "1e-300"]
-            )
+        code, out, err = run_cli(capsys, [command, "--x", str(x), "--y", str(y), "--t", "1e-300"])
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert "category=domain" in err and "finite weight" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["kernel"], ["posterior"], ["posterior", "--mode", "mcmc"], ["score"],
+         ["score", "--mode", "mcmc"]],
+        ids=["kernel", "posterior-exact", "posterior-mcmc", "score-exact", "score-mcmc"],
+    )
+    def test_far_points_at_tiny_time_give_one_error_line(self, capsys, tmp_path, argv):
+        # No permutation has a finite weight and the log kernel is -inf, which
+        # JSON cannot hold: every mode exits 6 with one error line, and no
+        # numpy warning about the overflowing costs comes before it.
+        x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+        write_cloud_text(x, np.array([[0.0], [1.0], [1e5]]))
+        write_cloud_text(y, np.array([[0.0], [1.0], [2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [*argv, "--x", str(x), "--y", str(y), "--t", "1e-300"])
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -2,13 +2,19 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permdiff
 from permdiff.cloud import (
     Permutation,
     PointCloud,
+    _permutation_table,
     apply,
     canonicalize,
     iter_permutations,
@@ -181,6 +187,29 @@ class TestEnumeration:
 
     def test_first_element_is_identity(self):
         assert tuple(permutation_array(5)[0]) == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_table_is_heaps_order(self, n):
+        expected = np.array(list(iter_permutations(n)), dtype=np.intp)
+        table = _permutation_table(n)
+        assert table.dtype == np.intp
+        np.testing.assert_array_equal(table, expected)
+
+
+def test_import_loads_numpy_alone():
+    # scipy is imported only where the assignment solver or the bench
+    # statistics run; the solver still works once the package is loaded.
+    code = (
+        "import sys, permdiff, permdiff.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "from permdiff.cloud import min_cost_assignment\n"
+        "print(min_cost_assignment([[0.0], [1.0], [2.0]], [[2.0], [0.0], [1.0]]).mapping)\n"
+    )
+    src = str(Path(permdiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "(2, 0, 1)"
 
 
 class TestPointCloudValidation:

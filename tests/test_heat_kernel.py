@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from permdiff.cloud import Permutation, apply
 from permdiff.errors import CapacityError, DomainError
 from permdiff.heat_kernel import (
     DP_CEILING,
+    _logsumexp,
     euclid_log_heat_kernel,
     initial_condition_check,
     quotient_kernel_semigroup_residual,
@@ -17,6 +19,35 @@ from permdiff.heat_kernel import (
     quotient_log_kernel_terms,
 )
 from permdiff.ou_sde import ou_transition, quotient_transition_log_density
+
+
+def _logsumexp_grid(seed):
+    """(4, 5, 6) arrays of special and ordinary values: +-inf, NaN, ties, all -inf rows."""
+    pool = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 3.5, -700.0, -745.5,
+                     709.0, 1e308, -1e308, 5e-324, -2.0, 2.0])
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 5, 6)) * 10.0 ** rng.integers(-3, 4, size=(4, 5, 6))
+    special = rng.random((4, 5, 6)) < 0.3
+    a[special] = rng.choice(pool, size=special.sum())
+    a[0, 0] = -np.inf
+    a[0, 1] = 3.0
+    a[0, 2, :3] = -np.inf
+    a[1, 0] = np.finfo(float).max
+    return a
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("axis", [None, 2])
+    def test_equals_scipy_bitwise(self, seed, axis):
+        a = _logsumexp_grid(seed)
+        cases = [a, a[0], a[0, 0], a[3, 4]] if axis is None else [a]
+        for case in cases:
+            with np.errstate(over="ignore"):  # scipy's shift may overflow to -inf
+                expected = logsumexp(case, axis=axis)
+            got = _logsumexp(case, axis=axis)
+            assert type(got) is type(expected) and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestEuclidKernel:

@@ -3,23 +3,27 @@
 Row r of ``_chains`` must be, bit for bit, the chain of the per-step loop
 below, which draws each slot with ``bisect_right``, at any burn-in and
 thinning, and on mcmc_sample's burn-in and thinning the chain that
-``mcmc_sample`` runs with seed seeds[r]. Row r of the block-Gibbs
-targets ``ou_conditional_scores_mcmc`` must be, bit for bit, the score
-``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64 clouds with
-N = 1..8 mix, in one batch, times from 1e-300 to 10: rows whose inverse
-probabilities overflow (the log-domain test), rows of far points whose cost
-rows are all -inf, repeated points, and benign rows.
+``mcmc_sample`` runs with seed seeds[r], or a DomainError from
+``mcmc_sample`` where every permutation has a cost of -inf. Row r of the
+block-Gibbs targets ``ou_conditional_scores_mcmc`` must be, bit for bit,
+the score ``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64
+clouds with N = 1..8 mix, in one batch, times from 1e-300 to 10: rows
+whose inverse probabilities overflow (the log-domain test), rows of far
+points whose cost rows are all -inf, repeated points, and benign rows.
 """
 
+import itertools
 import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from permdiff.cloud import min_cost_assignment
+from permdiff.errors import DomainError
 from permdiff.perm_mcmc import (
     McmcConfig,
     _accept_log_domain,
@@ -36,7 +40,8 @@ def lone_chain(entries, start, seed, burn_in, thinning, k):
     Returns the retained states (k, N) and the accepted step count.
     """
     n = entries.shape[0]
-    row_log_probs = entries - logsumexp(entries, axis=1)[:, None]
+    with np.errstate(invalid="ignore"):  # an all -inf row gives NaN
+        row_log_probs = entries - logsumexp(entries, axis=1)[:, None]
     cum = np.cumsum(np.exp(row_log_probs), axis=1)
     cum[:, -1] = 1.0
     cum = cum.tolist()
@@ -118,6 +123,12 @@ def test_rows_equal_lone_chains(batch, burn_in, thinning):
         np.testing.assert_array_equal(states[r], ref_states)
         assert accepted[r] == ref_accepted
         if (burn_in, thinning) == (50 * n, n):
+            perms = np.array(list(itertools.permutations(range(n))))
+            if np.isneginf(entries[r][perms, np.arange(n)]).any(axis=1).all():
+                # Every permutation has a cost of -inf; mcmc_sample refuses.
+                with pytest.raises(DomainError, match="finite weight"):
+                    mcmc_sample(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
+                continue
             dist, diag = mcmc_sample(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
             np.testing.assert_array_equal(dist.support, states[r])
             assert diag.acceptance_rate == accepted[r] / diag.proposal_count

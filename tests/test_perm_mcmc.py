@@ -116,7 +116,7 @@ class TestPosteriorExact:
         # The far point's cost is -inf in every slot: every log weight is
         # -inf, and normalizing them would give NaN.
         x, y = np.array([[0.0], [1.0], [1e5]]), np.array([[0.0], [1.0], [2.0]])
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite weight"):
+        with pytest.raises(DomainError, match="finite weight"):
             posterior_exact(x, y, 1e-300)
 
     def test_assignment_marginal_rows_sum_to_one(self):
@@ -324,6 +324,23 @@ class TestMcmcSample:
         dist, diag = mcmc_sample([[0.5]], [[1.5]], 0.3, McmcConfig(k=50, seed=0))
         assert all(tuple(row) == (0,) for row in dist.support)
         assert diag.acceptance_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([0.0, 1.0, 1e5], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, 1.0, 1e5]),
+         ([0.0, 0.5, 1e5], [0.0, 1e5, 1e5 + 1.0])],
+        ids=["far-x-point", "far-y-point", "no-finite-matching"],
+    )
+    def test_far_points_at_tiny_time_raise(self, x, y):
+        # At t = 1e-300 a cost is -inf beyond a distance of about 2.7e4. In
+        # the first two cases a cost row or column is all -inf; in the third
+        # every row and column has a finite cost, but two points of x are
+        # near only y_0. No permutation has a finite weight in any of them.
+        x, y = np.array(x)[:, None], np.array(y)[:, None]
+        with pytest.raises(DomainError, match="finite weight"):
+            posterior_exact(x, y, 1e-300)
+        with pytest.raises(DomainError, match="finite weight"):
+            mcmc_sample(x, y, 1e-300, McmcConfig(k=8, seed=0))
 
     def test_two_point_frequency_matches_posterior(self):
         x = np.array([[0.0], [1.0]])
