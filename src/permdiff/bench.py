@@ -9,7 +9,7 @@ with a permutation-derived threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -168,17 +168,7 @@ class EstimatorStudy:
     slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "permdiff/estimator-study/v1",
-            "n": self.n,
-            "d": self.d,
-            "t": self.t,
-            "seed": self.seed,
-            "k_grid": list(self.k_grid),
-            "replicates": self.replicates,
-            "mean_errors": list(self.mean_errors),
-            "slope": self.slope,
-        }
+        return {"schema": "permdiff/estimator-study/v1", **asdict(self)}
 
 
 def default_study_instance(
@@ -202,6 +192,8 @@ def run_estimator_study(
     scale: float = 1.0,
 ) -> EstimatorStudy:
     """Mean L2 error of the MCMC score per K against the exact one, with a log-log slope."""
+    if n < 2:  # at n = 1 the MCMC score is exact: a slope would fit rounding noise
+        raise DomainError(f"the estimator study needs n >= 2 points, got n = {n}")
     if list(k_grid) != sorted(set(k_grid)) or min(k_grid) < 1:
         raise DomainError("k_grid must be strictly increasing positive integers")
     if replicates < 2:
@@ -248,16 +240,7 @@ class GenReport:
     coordinate_summary: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "permdiff/gen-report/v1",
-            "sample_count": self.sample_count,
-            "reference_count": self.reference_count,
-            "energy_distance": self.energy_distance,
-            "p_value": self.p_value,
-            "trained": self.trained,
-            "distance_summary": self.distance_summary,
-            "coordinate_summary": self.coordinate_summary,
-        }
+        return {"schema": "permdiff/gen-report/v1", **asdict(self)}
 
 
 def _feature_summary(features: np.ndarray) -> dict:

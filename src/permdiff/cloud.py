@@ -178,16 +178,18 @@ def min_cost_assignment(x, y) -> Permutation:
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
-    """The permutation s minimizing sum_j cost[s(j), j] of a square cost matrix, as (N,) s.
+    """The permutations s minimizing sum_j cost[..., s(j), j] of costs (..., N, N), as (..., N).
 
-    scipy.optimize is imported on the first call, so that importing the
-    package loads numpy alone.
+    On squared distances these are the most probable assignments, where the
+    MCMC chains start. scipy.optimize is imported on the first call, so that
+    importing the package loads numpy alone.
     """
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(cost)
-    mapping = np.empty(cost.shape[0], dtype=np.intp)
-    mapping[cols] = rows
+    mapping = np.empty(cost.shape[:-1], dtype=np.intp)
+    for s, matrix in zip(mapping.reshape(-1, cost.shape[-1]), cost.reshape(-1, *cost.shape[-2:])):
+        rows, cols = linear_sum_assignment(matrix)
+        s[cols] = rows
     return mapping
 
 

@@ -17,6 +17,10 @@ Two exact cores serve every sum over S_N:
   sampled permutations is given: the per-permutation kernel terms, the
   exact posterior, the ELBO and the swap chain's sample sets. Enumeration
   takes a cap on N, ``ENUMERATION_CAP`` (9) by default.
+
+The kernels here, the posterior, the scores and the training targets share
+the checked pair (``_checked_pair``), the log affinities -||x_i - y_j||^2 / (4t)
+(``_log_affinities``) and the far-point error (``_check_finite_weight``).
 """
 
 from __future__ import annotations
@@ -50,6 +54,29 @@ def _check_time(t: float) -> float:
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"time must be positive and finite, got {t}")
     return t
+
+
+def _checked_pair(x, y, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The time t checked, then the (N, d) points of x and y, of one shape."""
+    t = _check_time(t)
+    px, py = as_points(x), as_points(y)
+    check_same_shape(px, py)
+    return px, py, t
+
+
+def _log_affinities(sq: np.ndarray, t) -> np.ndarray:
+    """Log affinities -sq / (4t) of squared distances sq; t broadcasts against sq."""
+    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
+        return -sq / (4.0 * t)
+
+
+def _check_finite_weight(none_finite) -> None:
+    """Raise DomainError if any of ``none_finite``: every permutation costs -inf.
+
+    Far points at tiny t give log Z = -inf, where the posterior is undefined.
+    """
+    if np.any(none_finite):
+        raise DomainError("no permutation has a finite weight (far points at tiny t)")
 
 
 def _logsumexp(a, axis: int | None = None):
@@ -215,17 +242,13 @@ def _subset_dp(log_aff: np.ndarray, marginals: bool = True) -> tuple[np.ndarray,
 def _log_kernels(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     """Log quotient heat kernels at time t, in one DP pass, of clouds x (B, N, d) to y."""
     n, d = x.shape[-2:]
-    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
-        log_aff = -pairwise_sq_dists(x, y) / (4.0 * t)
-    log_z, _ = _subset_dp(log_aff, marginals=False)
+    log_z, _ = _subset_dp(_log_affinities(pairwise_sq_dists(x, y), t), marginals=False)
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + log_z
 
 
 def euclid_log_heat_kernel(x, y, t: float) -> float:
     """log of the Gaussian heat kernel: -(dN/2) log(4 pi t) - ||x-y||^2 / (4t)."""
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     n, d = px.shape
     sq = float(((px - py) ** 2).sum())
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) - sq / (4.0 * t)
@@ -236,19 +259,15 @@ def quotient_log_kernel_terms(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.
 
     The term count is exactly N!; tests assert this to guard double counting.
     """
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     n, d = px.shape
-    terms = _perm_sums(-pairwise_sq_dists(px, py) / (4.0 * t), cap)
+    terms = _perm_sums(_log_affinities(pairwise_sq_dists(px, py), t), cap)
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + terms
 
 
 def quotient_log_heat_kernel_exact(x, y, t: float) -> float:
     """log sum over all permutations sigma of the Euclidean kernel at (x, sigma(y))."""
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     return float(_log_kernels(px[None], py, t)[0])
 
 

@@ -104,11 +104,10 @@ class NoiseSchedule:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded states over a time grid, plus an optional assignment trace."""
+    """Recorded states over a time grid."""
 
     times: np.ndarray
     states: tuple[PointCloud, ...]
-    assignment_log: tuple[Permutation, ...] | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):

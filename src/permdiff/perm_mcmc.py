@@ -23,14 +23,19 @@ from .cloud import (
     ENUMERATION_CAP,
     Permutation,
     _assignment,
-    as_points,
-    check_same_shape,
-    min_cost_assignment,
     pairwise_sq_dists,
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _NEG_MAX, _assignment_marginals, _check_time, _logsumexp, _perm_sums
+from .heat_kernel import (
+    _NEG_MAX,
+    _assignment_marginals,
+    _check_finite_weight,
+    _checked_pair,
+    _log_affinities,
+    _logsumexp,
+    _perm_sums,
+)
 
 EXACT = "exact"
 EMPIRICAL = "empirical"
@@ -45,11 +50,8 @@ class CostMatrix:
 
 
 def cost_matrix(x, y, t: float) -> CostMatrix:
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
-    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
-        entries = -pairwise_sq_dists(px, py) / (4.0 * t)
+    px, py, t = _checked_pair(x, y, t)
+    entries = _log_affinities(pairwise_sq_dists(px, py), t)
     entries.setflags(write=False)
     return CostMatrix(entries, t)
 
@@ -60,9 +62,7 @@ def log_weight(sigma: Permutation, x, y, t: float) -> float:
     Equals the cost-matrix trace sum_j C[sigma(j), j]; both code paths are
     cross-checked in tests.
     """
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     permuted = np.empty_like(py)
     permuted[sigma.as_array()] = py
     return -float(((px - permuted) ** 2).sum()) / (4.0 * t)
@@ -102,11 +102,6 @@ class PermDistribution:
         """
         return _assignment_marginals(self.support, self.probabilities())
 
-    def mean_matched_points(self, x) -> np.ndarray:
-        """Posterior-mean point matched to each slot: row j = E[x_{sigma(j)}]."""
-        px = as_points(x)
-        return self.assignment_marginal().T @ px
-
 
 def exact_from_log_weights(
     n: int, raw_log_weights: np.ndarray, cap: int = ENUMERATION_CAP
@@ -122,8 +117,7 @@ def exact_from_log_weights(
             f"expected {math.factorial(n)} log weights for S_{n}, got {lw.shape}"
         )
     log_z = _logsumexp(lw)
-    if log_z == -math.inf:
-        raise DomainError("no permutation has a finite weight (far points at tiny t)")
+    _check_finite_weight(log_z == -math.inf)
     lw = lw - log_z
     return PermDistribution(permutation_array(n, cap), lw, EXACT)
 
@@ -170,90 +164,83 @@ def _accept_log_domain(neg_log_i, neg_log_j, a: int, b: int, u2: float) -> bool:
     return log_r >= 0.0 or u2 < math.exp(log_r)
 
 
-def _chains(
+def _swap_chain(
     entries: np.ndarray,
-    starts: np.ndarray,
-    seeds,
+    start: np.ndarray,
+    seed,
     burn_in: int,
     thinning: int,
     k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run B independent swap chains, one per cost matrix: entries (B, N, N).
+) -> tuple[np.ndarray, int]:
+    """Run the swap chain of ``mcmc_sample`` on one cost matrix, entries (N, N).
 
-    Row r starts at the permutation ``starts[r]`` (slot -> point), draws its
-    uniforms from ``default_rng(seeds[r])``, makes burn_in + thinning * k
-    steps of the chain described in ``mcmc_sample`` and keeps every
-    thinning-th state after the burn-in. Returns the retained states
-    (B, k, N) and the accepted step counts (B,); row r is exactly what the
-    chain of ``mcmc_sample`` with seed ``seeds[r]`` gives.
+    The chain starts at the permutation ``start`` (slot -> point, an (N,)
+    array), draws its uniforms from ``default_rng(seed)``, makes
+    burn_in + thinning * k steps and keeps every thinning-th state after
+    the burn-in. Returns the retained states (k, N) and the accepted step
+    count.
 
-    The tables are built once for the whole stack: cumulative row
-    probabilities for the slot draw, and the negated log probabilities and
-    their exponentials (inverse probabilities, inf where they overflow) for
-    R. The proposal (i, b) of a step does not depend on the state, so each
-    block of uniforms becomes its points i, slots b = bisect_right(cum[i], u1)
-    and the inverse probabilities 1/p_i[b] in a few vector operations; the
-    step loop keeps only the lookups that depend on the state.
+    The tables are built once: cumulative row probabilities for the slot
+    draw, and the negated log probabilities and their exponentials (inverse
+    probabilities, inf where they overflow) for R. The proposal (i, b) of a
+    step does not depend on the state, so each block of uniforms becomes
+    its points i, slots b = bisect_right(cum[i], u1) and the inverse
+    probabilities 1/p_i[b] in a few vector operations; the step loop keeps
+    only the lookups that depend on the state.
     """
-    b_rows, n, _ = entries.shape
+    n = entries.shape[0]
     with np.errstate(invalid="ignore"):  # an all -inf row gives NaN, handled below
-        row_log_probs = entries - _logsumexp(entries, axis=2)[:, :, None]
-    cum = np.cumsum(np.exp(row_log_probs), axis=2)
-    cum[:, :, -1] = 1.0
+        row_log_probs = entries - _logsumexp(entries, axis=1)[:, None]
+    cum = np.cumsum(np.exp(row_log_probs), axis=1)
+    cum[:, -1] = 1.0
     # A row whose entries are all -inf has NaN probabilities; bisect_right
     # steps over NaN, which a count of the entries <= u1 matches with -inf.
     cum[np.isnan(cum)] = -math.inf
     with np.errstate(over="ignore"):
         inv_all = np.exp(-row_log_probs)
     total = burn_in + thinning * k
-    states = np.empty((b_rows, k, n), dtype=np.intp)
-    accepted = np.zeros(b_rows, dtype=np.int64)
     inf = math.inf
 
-    for r in range(b_rows):
-        rng = np.random.default_rng(seeds[r])
-        cum_r, inv_r = cum[r], inv_all[r]
-        neg_log = (-row_log_probs[r]).tolist()
-        inv = inv_r.tolist()
-        sigma = starts[r].tolist()  # sigma[slot] = point index
-        slot_of = [0] * n  # slot_of[point] = slot
-        for slot, point in enumerate(sigma):
-            slot_of[point] = slot
-        samples: list[list[int]] = []
-        rejected = 0
-        done = 0
-        next_record = burn_in + thinning
-        while done < total:
-            block = min(_UNIFORM_BLOCK, total - done)
-            u = rng.random((block, 3))
-            points = (u[:, 0] * n).astype(np.intp)
-            slots = np.minimum((cum_r[points] <= u[:, 1:2]).sum(axis=1), n - 1)
-            steps = zip(points.tolist(), slots.tolist(), u[:, 2].tolist(),
-                        inv_r[points, slots].tolist())
-            for i, b, u2, inv_ib in steps:
-                a = slot_of[i]
-                if a != b:  # a == b is the identity move, always accepted
-                    j = sigma[b]
-                    inv_j = inv[j]
-                    den = inv_ib + inv_j[a]
-                    if den == inf:
-                        ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
-                    else:
-                        ok = u2 * den < inv[i][a] + inv_j[b]
-                    if ok:
-                        sigma[a] = j
-                        sigma[b] = i
-                        slot_of[i] = b
-                        slot_of[j] = a
-                    else:
-                        rejected += 1
-                done += 1
-                if done == next_record:
-                    samples.append(sigma[:])
-                    next_record += thinning
-        states[r] = samples
-        accepted[r] = total - rejected
-    return states, accepted
+    rng = np.random.default_rng(seed)
+    neg_log = (-row_log_probs).tolist()
+    inv = inv_all.tolist()
+    sigma = start.tolist()  # sigma[slot] = point index
+    slot_of = [0] * n  # slot_of[point] = slot
+    for slot, point in enumerate(sigma):
+        slot_of[point] = slot
+    samples: list[list[int]] = []
+    rejected = 0
+    done = 0
+    next_record = burn_in + thinning
+    while done < total:
+        block = min(_UNIFORM_BLOCK, total - done)
+        u = rng.random((block, 3))
+        points = (u[:, 0] * n).astype(np.intp)
+        slots = np.minimum((cum[points] <= u[:, 1:2]).sum(axis=1), n - 1)
+        steps = zip(points.tolist(), slots.tolist(), u[:, 2].tolist(),
+                    inv_all[points, slots].tolist())
+        for i, b, u2, inv_ib in steps:
+            a = slot_of[i]
+            if a != b:  # a == b is the identity move, always accepted
+                j = sigma[b]
+                inv_j = inv[j]
+                den = inv_ib + inv_j[a]
+                if den == inf:
+                    ok = _accept_log_domain(neg_log[i], neg_log[j], a, b, u2)
+                else:
+                    ok = u2 * den < inv[i][a] + inv_j[b]
+                if ok:
+                    sigma[a] = j
+                    sigma[b] = i
+                    slot_of[i] = b
+                    slot_of[j] = a
+                else:
+                    rejected += 1
+            done += 1
+            if done == next_record:
+                samples.append(sigma[:])
+                next_record += thinning
+    return np.array(samples, dtype=np.intp), total - rejected
 
 
 # The block-Gibbs kernel of the training targets: blocks of at most
@@ -391,7 +378,8 @@ def _block_gibbs(entries: np.ndarray, y: np.ndarray, starts: np.ndarray, seeds, 
 def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, McmcDiagnostics]:
     """Sample the permutation posterior with the swap-proposal chain.
 
-    The chain starts at the most probable assignment (``min_cost_assignment``).
+    The chain starts at the most probable assignment, the minimum-cost
+    matching of the squared distances (``cloud._assignment``).
     One step from sigma: draw a point i uniformly, draw a slot b from the
     categorical law p_i proportional to exp(C[i, :]), take as partner the
     point j = sigma(b) that currently occupies b, and propose exchanging the
@@ -411,28 +399,30 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     identity move and counts as accepted.
 
     The chain keeps every N-th state after a burn-in of 50N steps, until it
-    has ``cfg.k``. This is the one-chain case of ``_chains``.
+    has ``cfg.k``; ``_swap_chain`` runs it.
 
     Raises DomainError when every permutation has a cost of -inf (far
     points at tiny t), where no permutation has a finite weight.
     """
-    entries = cost_matrix(x, y, t).entries
+    px, py, t = _checked_pair(x, y, t)
+    sq = pairwise_sq_dists(px, py)
+    entries = _log_affinities(sq, t)
     n = entries.shape[0]
     burn_in, thinning, k = 50 * n, n, cfg.k
     # Start at the mode: at small t a chain started elsewhere can settle in
     # a local mode that no single transposition leaves.
-    start = np.asarray(min_cost_assignment(x, y).mapping)
+    start = _assignment(sq)
     slots = np.arange(n)
     far = np.isneginf(entries)
     # The assignment with the fewest -inf costs has none if any permutation has none.
-    if far[start, slots].any() and far[_assignment(far.astype(float)), slots].any():
-        raise DomainError("no permutation has a finite weight (far points at tiny t)")
-    states, accepted = _chains(entries[None], start[None], [cfg.seed], burn_in, thinning, k)
-    support = states[0]
+    _check_finite_weight(
+        far[start, slots].any() and far[_assignment(far.astype(float)), slots].any()
+    )
+    support, accepted = _swap_chain(entries, start, cfg.seed, burn_in, thinning, k)
     total = burn_in + thinning * k
     dist = PermDistribution(support, np.full(k, -math.log(k)), EMPIRICAL)
     diag = McmcDiagnostics(
-        acceptance_rate=int(accepted[0]) / total,
+        acceptance_rate=accepted / total,
         proposal_count=total,
         unique_states=len(set(map(tuple, support.tolist()))),
     )

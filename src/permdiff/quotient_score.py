@@ -27,7 +27,14 @@ from .cloud import (
     permutation_array,
 )
 from .errors import DomainError
-from .heat_kernel import _check_time, _logsumexp, _perm_sums, _subset_dp
+from .heat_kernel import (
+    _check_finite_weight,
+    _checked_pair,
+    _log_affinities,
+    _logsumexp,
+    _perm_sums,
+    _subset_dp,
+)
 from .ou_sde import ou_coefficients
 from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _block_gibbs, cost_matrix, mcmc_sample
 
@@ -37,10 +44,17 @@ def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
 
     This is the plain Gaussian score that pairs slot j with point sigma(j).
     """
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     return (px[sigma.as_array()] - py) / (2.0 * t)
+
+
+def _marginal_scores(marg: np.ndarray, x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    """Symmetrized scores (P^T x - y) / (2t) of assignment marginals P = marg.
+
+    marg[..., i, j] is the probability that slot j holds point i, x and y are
+    (..., N, d), and t broadcasts against them.
+    """
+    return (np.swapaxes(marg, -1, -2) @ x - y) / (2.0 * t)
 
 
 def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -52,12 +66,9 @@ def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     at tiny t), where P is undefined.
     """
     t = t[:, None, None]
-    with np.errstate(over="ignore"):  # far points at tiny t cost -inf
-        log_aff = -pairwise_sq_dists(x, y) / (4.0 * t)
-    log_z, marg = _subset_dp(log_aff)
-    if np.isneginf(log_z).any():
-        raise DomainError("no permutation has a finite weight (far points at tiny t)")
-    return (np.swapaxes(marg, 1, 2) @ x - y) / (2.0 * t)
+    log_z, marg = _subset_dp(_log_affinities(pairwise_sq_dists(x, y), t))
+    _check_finite_weight(np.isneginf(log_z))
+    return _marginal_scores(marg, x, y, t)
 
 
 def symmetrized_score_exact(x, y, t: float) -> np.ndarray:
@@ -65,9 +76,7 @@ def symmetrized_score_exact(x, y, t: float) -> np.ndarray:
 
     Equals the gradient of the exact log quotient kernel in y.
     """
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     return _exact_scores(px[None], py[None], np.array([t]))[0]
 
 
@@ -79,11 +88,9 @@ def symmetrized_score_mcmc(
     with_diagnostics: bool = False,
 ):
     """Sample mean of per-permutation scores over MCMC posterior samples."""
-    t = _check_time(t)
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
+    px, py, t = _checked_pair(x, y, t)
     dist, diag = mcmc_sample(px, py, t, cfg)
-    score = (dist.mean_matched_points(px) - py) / (2.0 * t)
+    score = _marginal_scores(dist.assignment_marginal(), px, py, t)
     if with_diagnostics:
         return score, diag
     return score
@@ -156,13 +163,9 @@ def ou_conditional_scores_mcmc(
     if len(seeds) != xb.shape[0]:
         raise DomainError("expected one seed per cloud")
     sq = pairwise_sq_dists(xb, yb)
-    starts = np.empty(sq.shape[:2], dtype=np.intp)
-    for r, cost in enumerate(sq):
-        starts[r] = _assignment(cost)
-    with np.errstate(over="ignore"):  # far points at tiny tau cost -inf
-        entries = -sq / (4.0 * tau[:, None, None])
-    marg = _block_gibbs(entries, yb, starts, seeds, cfg.k)
-    return (np.swapaxes(marg, 1, 2) @ xb - yb) / (2.0 * tau[:, None, None])
+    tau = tau[:, None, None]
+    marg = _block_gibbs(_log_affinities(sq, tau), yb, _assignment(sq), seeds, cfg.k)
+    return _marginal_scores(marg, xb, yb, tau)
 
 
 @dataclass(frozen=True)

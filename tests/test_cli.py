@@ -295,6 +295,37 @@ class TestReadme:
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
 
+    def test_cheap_command_lines_run_as_written(self, tmp_path, monkeypatch, capsys):
+        # train, sample and bench-gen need a config file, a checkpoint or
+        # 20,000 iterations; every other line runs in the directory of its
+        # input files and writes records that the shipped schemas accept.
+        schemas = {
+            "kernel": "kernel.json", "posterior": "posterior-record.json",
+            "score": "score.json", "forward": "trajectory-record.json",
+            "reverse": "trajectory-record.json", "bench-score": "estimator-study.json",
+        }
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        for name in ("x.txt", "y.txt", "noise.txt"):
+            write_cloud_text(tmp_path / name, rng.standard_normal((3, 2)))
+        ran = []
+        for line in readme_command_lines():
+            argv = shlex.split(line)[1:]
+            if argv[0] in ("train", "sample", "bench-gen"):
+                continue
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, (line, err)
+            if argv[0] == "make-data":
+                validate_lines((tmp_path / "data.jsonl").read_text(), "dataset-record.json")
+            else:
+                validate_lines(out, schemas[argv[0]])
+            ran.append(argv[0])
+        assert set(ran) == {*schemas, "make-data"}
+        jsonschema.validate(
+            json.loads((tmp_path / "diag.json").read_text()),
+            load_schema("posterior-diagnostics.json"),
+        )
+
     def test_train_flags_and_config_keys_reach_config(self, tmp_path):
         args = cli.build_parser().parse_args(
             ["bench-gen", "--kind", "ring", "--optimizer", "adam", "--output-scale", "noise"]
@@ -549,6 +580,14 @@ class TestBenchCommands:
         code, out, err = run_cli(capsys, ["bench-score", "--k-grid", "4,x"])
         assert code == cli.EXIT_USAGE
         assert "--k-grid" in err and out == ""
+
+    def test_bench_score_one_point_is_a_domain_error(self, capsys):
+        # At N = 1 the MCMC score is exact: the errors are rounding noise and
+        # a slope fitted to them means nothing.
+        code, out, err = run_cli(capsys, ["bench-score", "--n", "1"])
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
 
     def test_bench_score_cap_reaches_exact_reference(self, capsys):
         # N = 10 is above the enumeration cap; the exact reference score

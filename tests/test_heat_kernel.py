@@ -127,6 +127,12 @@ class TestQuotientKernel:
         for t in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             val = quotient_log_heat_kernel_exact(x, y, t)
             assert math.isfinite(val)
+        # Far points at tiny t: every term is -inf, with no overflow warning
+        # (pyproject.toml's filterwarnings makes a RuntimeWarning an error).
+        x, y = [[0.0], [1.0], [1e5]], [[0.0], [1.0], [2.0]]
+        terms = quotient_log_kernel_terms(x, y, 1e-300)
+        assert terms.shape == (6,) and np.all(terms == -math.inf)
+        assert quotient_log_heat_kernel_exact(x, y, 1e-300) == -math.inf
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_term_count_is_factorial(self, n):

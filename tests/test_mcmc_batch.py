@@ -1,15 +1,16 @@
-"""Property tests of batched chains against lone chains.
+"""Property tests of the swap chain and the batched targets against lone references.
 
-Row r of ``_chains`` must be, bit for bit, the chain of the per-step loop
-below, which draws each slot with ``bisect_right``, at any burn-in and
-thinning, and on mcmc_sample's burn-in and thinning the chain that
-``mcmc_sample`` runs with seed seeds[r], or a DomainError from
-``mcmc_sample`` where every permutation has a cost of -inf. Row r of the
-block-Gibbs targets ``ou_conditional_scores_mcmc`` must be, bit for bit,
-the score ``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64
-clouds with N = 1..8 mix, in one batch, times from 1e-300 to 10: rows
-whose inverse probabilities overflow (the log-domain test), rows of far
-points whose cost rows are all -inf, repeated points, and benign rows.
+On each drawn row r, the swap-chain kernel ``_swap_chain`` must give, bit
+for bit, the chain of the per-step loop below, which draws each slot with
+``bisect_right``, at any burn-in and thinning, and on mcmc_sample's
+burn-in and thinning the chain that ``mcmc_sample`` runs with seed
+seeds[r], or a DomainError from ``mcmc_sample`` where every permutation
+has a cost of -inf. Row r of the block-Gibbs targets
+``ou_conditional_scores_mcmc`` must be, bit for bit, the score
+``ou_conditional_score_mcmc`` gives. Batches of 1, 2 and 64 clouds with
+N = 1..8 mix, in one batch, times from 1e-300 to 10: rows whose inverse
+probabilities overflow (the log-domain test), rows of far points whose
+cost rows are all -inf, repeated points, and benign rows.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from permdiff.errors import DomainError
 from permdiff.perm_mcmc import (
     McmcConfig,
     _accept_log_domain,
-    _chains,
+    _swap_chain,
     cost_matrix,
     mcmc_sample,
 )
@@ -116,12 +117,12 @@ def test_rows_equal_lone_chains(batch, burn_in, thinning):
     thinning = n if thinning is None else thinning
     entries = np.stack([cost_matrix(xr, yr, t).entries for xr, yr, t in zip(x, y, ts)])
     starts = np.stack([min_cost_assignment(xr, yr).mapping for xr, yr in zip(x, y)])
-    states, accepted = _chains(entries, starts, seeds, burn_in, thinning, k)
-    assert states.shape == (len(x), k, n) and accepted.shape == (len(x),)
     for r, seed in enumerate(seeds):
+        states, accepted = _swap_chain(entries[r], starts[r], seed, burn_in, thinning, k)
+        assert states.shape == (k, n)
         ref_states, ref_accepted = lone_chain(entries[r], starts[r], seed, burn_in, thinning, k)
-        np.testing.assert_array_equal(states[r], ref_states)
-        assert accepted[r] == ref_accepted
+        np.testing.assert_array_equal(states, ref_states)
+        assert accepted == ref_accepted
         if (burn_in, thinning) == (50 * n, n):
             perms = np.array(list(itertools.permutations(range(n))))
             if np.isneginf(entries[r][perms, np.arange(n)]).any(axis=1).all():
@@ -130,8 +131,8 @@ def test_rows_equal_lone_chains(batch, burn_in, thinning):
                     mcmc_sample(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
                 continue
             dist, diag = mcmc_sample(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))
-            np.testing.assert_array_equal(dist.support, states[r])
-            assert diag.acceptance_rate == accepted[r] / diag.proposal_count
+            np.testing.assert_array_equal(dist.support, states)
+            assert diag.acceptance_rate == accepted / diag.proposal_count
 
 
 @given(batches(min_log10_t=-300.0, max_k=80))

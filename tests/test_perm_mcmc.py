@@ -16,7 +16,7 @@ from permdiff.perm_mcmc import (
     _UNIFORM_BLOCK,
     _accept_log_domain,
     _block_gibbs,
-    _chains,
+    _swap_chain,
     cost_matrix,
     log_weight,
     mcmc_sample,
@@ -198,11 +198,10 @@ class TestDetailedBalance:
                 law[sigma_prime] = chain_transition_prob(entries, start, sigma_prime) or 0.0
         law[start] = 1.0 - sum(law.values())
         m = 4000
-        states, _ = _chains(
-            np.repeat(entries[None], m, axis=0), np.repeat([start], m, axis=0), range(m),
-            burn_in=0, thinning=1, k=1,
-        )
-        counts = Counter(tuple(row) for row in states[:, 0].tolist())
+        counts = Counter()
+        for seed in range(m):
+            states, _ = _swap_chain(entries, np.asarray(start), seed, burn_in=0, thinning=1, k=1)
+            counts[tuple(states[0].tolist())] += 1
         assert set(counts) <= set(law)
         for state, p in law.items():
             se = math.sqrt(p * (1.0 - p) / m)
