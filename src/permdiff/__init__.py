@@ -10,7 +10,6 @@ from .cloud import (
     ENUMERATION_CAP,
     Permutation,
     PointCloud,
-    QuotientPoint,
     apply,
     canonicalize,
     orbit_distance,
@@ -42,7 +41,6 @@ from .ou_sde import (
     reverse_integrate,
 )
 from .perm_mcmc import (
-    CostMatrix,
     McmcConfig,
     McmcDiagnostics,
     PermDistribution,
@@ -65,7 +63,6 @@ from .score_model import (
     EquivariantNet,
     TrainConfig,
     dsm_loss,
-    net_forward,
     sample_from_model,
     train,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "CapacityError",
     "Checkpoint",
-    "CostMatrix",
     "DomainError",
     "ElboReport",
     "EquivariantNet",
@@ -89,7 +85,6 @@ __all__ = [
     "PermdiffError",
     "Permutation",
     "PointCloud",
-    "QuotientPoint",
     "ShapeMismatchError",
     "TrainConfig",
     "TrainingDiverged",
@@ -106,7 +101,6 @@ __all__ = [
     "initial_condition_check",
     "log_weight",
     "mcmc_sample",
-    "net_forward",
     "orbit_distance",
     "ou_conditional_score_exact",
     "ou_conditional_score_mcmc",

@@ -15,6 +15,7 @@ import numpy as np
 
 from .cloud import PointCloud, as_points, canonicalize
 from .errors import DomainError
+from .heat_kernel import _check_time
 from .ou_sde import NoiseSchedule
 from .perm_mcmc import McmcConfig
 from .quotient_score import symmetrized_score_exact, symmetrized_score_mcmc
@@ -79,6 +80,8 @@ def energy_permutation_test(
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise DomainError("need at least two feature rows per sample")
+    if n_shuffles < 1:
+        raise DomainError(f"need at least one shuffle, got {n_shuffles}")
     pooled = np.vstack([a, b])
     p = na + nb
     dist = _distance_matrix(pooled)
@@ -151,7 +154,7 @@ def make_synthetic_dataset(
         template = rng.standard_normal((n_points, dim))
         for _ in range(n_items):
             items.append(template + jitter * rng.standard_normal(template.shape))
-    return [canonicalize(pts).representative for pts in items]
+    return [canonicalize(pts) for pts in items]
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,11 @@ def run_estimator_study(
     scale: float = 1.0,
 ) -> EstimatorStudy:
     """Mean L2 error of the MCMC score per K against the exact one, with a log-log slope."""
+    _check_time(t)
     if n < 2:  # at n = 1 the MCMC score is exact: a slope would fit rounding noise
         raise DomainError(f"the estimator study needs n >= 2 points, got n = {n}")
-    if list(k_grid) != sorted(set(k_grid)) or min(k_grid) < 1:
-        raise DomainError("k_grid must be strictly increasing positive integers")
+    if len(k_grid) < 2 or list(k_grid) != sorted(set(k_grid)) or min(k_grid) < 1:
+        raise DomainError("k_grid must be two or more strictly increasing positive integers")
     if replicates < 2:
         raise DomainError("need at least two replicates")
     x, y = default_study_instance(n, d, t, seed, scale)
@@ -293,6 +297,11 @@ def run_toy_generation(
     With ``do_train=False`` the freshly initialized network (zero output,
     hence zero score) is sampled instead: the negative control.
     """
+    if min(n_samples, n_reference) < 2 or n_shuffles < 1:
+        raise DomainError(
+            f"need at least two samples, two reference clouds and one shuffle, got "
+            f"{n_samples}, {n_reference} and {n_shuffles}"
+        )
     if len(dataset) < n_reference + 2:
         raise DomainError("dataset too small for the requested reference split")
     reference = dataset[:n_reference]

@@ -6,11 +6,14 @@ invocations are bitwise reproducible. A subcommand registers only the
 flags its handler reads.
 
 The train settings are TrainConfig's fields: ``train`` gets one flag and one
-config-file key per field (``widths`` as ``--width`` x ``--depth``;
-``divergence_threshold`` is not exposed), ``bench-gen`` the same flags with
-its schedule's ``--horizon`` and dataset's ``--seed``. A setting comes from
-the first of: a flag given, in any form argparse accepts (``--iterations=5``,
-``--iter 5``); the ``--config`` file; TrainConfig's default.
+config-file key per field (``widths`` as ``--width`` x ``--depth``),
+``bench-gen`` the same flags with its schedule's ``--horizon`` and dataset's
+``--seed``. A setting comes from the first of: a flag given, in any form
+argparse accepts (``--iterations=5``, ``--iter 5``); the ``--config`` file;
+TrainConfig's default. Every other flag whose value the library defaults
+(``--k``, ``--t-end``, ``--jitter``, ``--radius``, ``--blob-std`` and the
+bench sizes) is passed only when given, so a flag left out keeps the
+library's default.
 
 Exit codes: 0 success, 2 usage, 3 file not found, 4 parse error, 5
 exact-evaluation capacity, 6 domain error (including a failing score
@@ -69,8 +72,6 @@ _ERROR_CODES = {
     "file-not-found": EXIT_FILE_NOT_FOUND,
 }
 
-log = logging.getLogger("permdiff")
-
 
 def _emit(args, text: str) -> None:
     if args.out:
@@ -92,8 +93,16 @@ def _load_cloud(path, elements):
     return io.read_cloud(path, elements.split(",") if elements else None)
 
 
-def _mcmc_config(args) -> McmcConfig:
-    return McmcConfig(k=args.k, seed=args.seed)
+def _given(args, *names, **renamed) -> dict:
+    """The library keyword arguments of the flags given.
+
+    A flag that the library defaults has default SUPPRESS: left out, it is
+    missing from ``args`` and the library's default holds. ``names`` are
+    dests that name their parameter; ``renamed`` maps a parameter to its
+    flag's dest.
+    """
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {param: getattr(args, dest) for param, dest in pairs if hasattr(args, dest)}
 
 
 def cmd_kernel(args) -> int:
@@ -108,25 +117,21 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_posterior(args) -> int:
+    if args.diagnostics and args.mode != "mcmc":
+        raise DomainError("--diagnostics needs --mode mcmc: only the chain has diagnostics")
     x = _load_cloud(args.x, args.elements)
     y = _load_cloud(args.y, args.elements)
     if args.mode == "exact":
         dist = posterior_exact(x, y, args.t, args.cap)
-        diag = None
     else:
-        dist, diag = mcmc_sample(x, y, args.t, _mcmc_config(args))
+        dist, diag = mcmc_sample(x, y, args.t, McmcConfig(seed=args.seed, **_given(args, "k")))
     lines = []
     for row, lw in zip(dist.support, dist.log_weights):
         lines.append(_dump({"perm": [int(v) for v in row], "log_weight": float(lw)}))
     _emit(args, "".join(lines))
     if args.diagnostics:
-        if diag is None:
-            log.info("no diagnostics in exact mode; writing empty object")
-            payload = {}
-        else:
-            payload = asdict(diag)
         with open(args.diagnostics, "w") as fh:
-            fh.write(_dump(payload))
+            fh.write(_dump(asdict(diag)))
     return EXIT_OK
 
 
@@ -137,7 +142,8 @@ def cmd_score(args) -> int:
         score = symmetrized_score_exact(x, y, args.t)
         diagnostics = None
     else:
-        score, diag = symmetrized_score_mcmc(x, y, args.t, _mcmc_config(args), with_diagnostics=True)
+        cfg = McmcConfig(seed=args.seed, **_given(args, "k"))
+        score, diag = symmetrized_score_mcmc(x, y, args.t, cfg, with_diagnostics=True)
         diagnostics = asdict(diag)
     _emit(args, _dump({"score": score.tolist(), "method": args.mode, "diagnostics": diagnostics}))
     return EXIT_OK
@@ -172,8 +178,8 @@ def cmd_reverse(args) -> int:
         if args.score_source == "exact":
             score_fn = lambda y, t: ou_conditional_score_exact(ref, y, t)
         else:
-            base = _mcmc_config(args)
-            score_fn = lambda y, t: ou_conditional_score_mcmc(ref, y, t, base)
+            cfg = McmcConfig(seed=args.seed, **_given(args, "k"))
+            score_fn = lambda y, t: ou_conditional_score_mcmc(ref, y, t, cfg)
     else:
         if not args.checkpoint:
             raise DomainError("--checkpoint is required for the model score source")
@@ -189,12 +195,8 @@ def cmd_reverse(args) -> int:
 
 
 # The train settings, each one flag and one config-file key, with TrainConfig's
-# defaults: widths as width x depth, divergence_threshold not exposed. A
-# default's type parses its flag and key.
-_TRAIN_DEFAULTS = {
-    key: val for key, val in asdict(TrainConfig()).items()
-    if key not in ("widths", "divergence_threshold")
-}
+# defaults: widths as width x depth. A default's type parses its flag and key.
+_TRAIN_DEFAULTS = {key: val for key, val in asdict(TrainConfig()).items() if key != "widths"}
 _TRAIN_DEFAULTS.update(width=TrainConfig.widths[0], depth=len(TrainConfig.widths))
 
 
@@ -231,7 +233,7 @@ def _train_config(args) -> TrainConfig:
     values = dict(_TRAIN_DEFAULTS)
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    values.update((key, val) for key, val in vars(args).items() if key in values)
+    values.update(_given(args, *values))
     widths = (values.pop("width"),) * values.pop("depth")
     return TrainConfig(widths=widths, **values)
 
@@ -262,8 +264,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bench_score(args) -> int:
     study = bench.run_estimator_study(
-        n=args.n, d=args.d, t=args.t, seed=args.seed, k_grid=args.k_grid,
-        replicates=args.replicates,
+        seed=args.seed, **_given(args, "n", "d", "t", "k_grid", "replicates")
     )
     _emit(args, _dump(study.to_dict()))
     if args.csv:
@@ -277,7 +278,7 @@ def cmd_bench_score(args) -> int:
 def _dataset(args) -> list:
     return bench.make_synthetic_dataset(
         args.kind, args.items, args.points, args.dim, args.seed,
-        jitter=args.jitter, radius=args.radius, blob_std=args.blob_std,
+        **_given(args, "jitter", "radius", "blob_std"),
     )
 
 
@@ -286,11 +287,9 @@ def cmd_bench_gen(args) -> int:
         _dataset(args),
         _train_config(args),
         _schedule(args),
-        n_samples=args.samples,
-        n_reference=args.reference,
-        n_shuffles=args.shuffles,
         seed=args.seed,
         do_train=not args.no_train,
+        **_given(args, n_samples="samples", n_reference="reference", n_shuffles="shuffles"),
     )
     _emit(args, _dump(report.to_dict()))
     return EXIT_OK
@@ -316,7 +315,7 @@ def _add_cloud_pair(p):
 
 _SHARED_FLAGS = {
     "seed": dict(type=int, default=0, help="RNG seed for all randomness"),
-    "k": dict(type=int, default=32, help="retained MCMC samples"),
+    "k": dict(type=int, default=argparse.SUPPRESS, help="retained MCMC samples"),
     "elements": dict(help="comma-separated element table for .xyz input"),
 }
 
@@ -337,14 +336,14 @@ def _add_schedule_flags(p, horizon=5.0, steps=200, grid="uniform"):
     p.add_argument("--steps", type=int, default=steps, help="grid steps")
     p.add_argument("--grid", choices=("uniform", "geometric"), default=grid)
     p.add_argument(
-        "--t-end", type=float, default=1e-4, dest="t_end",
+        "--t-end", type=float, default=argparse.SUPPRESS, dest="t_end",
         help="smallest positive grid time for the geometric grid",
     )
 
 
 def _schedule(args) -> NoiseSchedule:
     if args.grid == "geometric":
-        return NoiseSchedule.geometric(args.horizon, args.steps, args.t_end)
+        return NoiseSchedule.geometric(args.horizon, args.steps, **_given(args, "t_end"))
     return NoiseSchedule.uniform(args.horizon, args.steps)
 
 
@@ -353,9 +352,9 @@ def _add_dataset_flags(p):
     p.add_argument("--items", type=int, default=512)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--jitter", type=float, default=0.05)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--blob-std", type=float, default=0.1, dest="blob_std")
+    p.add_argument("--jitter", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--radius", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--blob-std", type=float, default=argparse.SUPPRESS, dest="blob_std")
 
 
 def _add_train_flags(p, skip=()):
@@ -420,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed")
 
     p = sub.add_parser("bench-score", help="MCMC-score accuracy study")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--k-grid", type=int_list, default="8,32,128,512", dest="k_grid")
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--d", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--t", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--k-grid", type=int_list, default=argparse.SUPPRESS, dest="k_grid")
+    p.add_argument("--replicates", type=int, default=argparse.SUPPRESS)
     p.add_argument("--csv", help="optional per-K CSV table")
     _add_common(p, "seed")
 
@@ -433,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     # The schedule's --horizon and the dataset's --seed also set the training's.
     _add_train_flags(p, skip=("horizon", "seed"))
     _add_schedule_flags(p, steps=256, grid="geometric")
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--reference", type=int, default=256)
-    p.add_argument("--shuffles", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--reference", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--shuffles", type=int, default=argparse.SUPPRESS)
     p.add_argument("--no-train", action="store_true", dest="no_train")
     _add_common(p, "seed")
 

@@ -56,21 +56,8 @@ class PointCloud:
         return f"PointCloud(n={self.n}, d={self.d})"
 
 
-@dataclass(frozen=True)
-class QuotientPoint:
-    """A cloud in canonical (lexicographically sorted) order."""
-
-    representative: PointCloud
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.representative.points
-
-
 def as_points(cloud) -> np.ndarray:
-    """Coerce a PointCloud, QuotientPoint, or array-like to an (n, d) array."""
-    if isinstance(cloud, QuotientPoint):
-        return cloud.representative.points
+    """Coerce a PointCloud or array-like to an (n, d) array."""
     if isinstance(cloud, PointCloud):
         return cloud.points
     return PointCloud(np.asarray(cloud, dtype=float)).points
@@ -140,11 +127,11 @@ def apply(sigma: Permutation, cloud) -> PointCloud:
     return PointCloud(out)
 
 
-def canonicalize(cloud) -> QuotientPoint:
+def canonicalize(cloud) -> PointCloud:
     """Sort points lexicographically; the result is permutation-invariant."""
     pts = as_points(cloud)
     order = np.lexsort(pts.T[::-1])
-    return QuotientPoint(PointCloud(pts[order]))
+    return PointCloud(pts[order])
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ Two exact cores serve every sum over S_N:
   They stay where a weight is needed for every permutation or a set of
   sampled permutations is given: the per-permutation kernel terms, the
   exact posterior, the ELBO and the swap chain's sample sets. Enumeration
-  takes a cap on N, ``ENUMERATION_CAP`` (9) by default.
+  stops at N = ``ENUMERATION_CAP`` (9); only the exact posterior takes
+  another cap.
 
 The kernels here, the posterior, the scores and the training targets share
 the checked pair (``_checked_pair``), the log affinities -||x_i - y_j||^2 / (4t)
@@ -254,14 +255,15 @@ def euclid_log_heat_kernel(x, y, t: float) -> float:
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) - sq / (4.0 * t)
 
 
-def quotient_log_kernel_terms(x, y, t: float, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def quotient_log_kernel_terms(x, y, t: float) -> np.ndarray:
     """Per-permutation log summands, one per element of S_N in Heap's order.
 
     The term count is exactly N!; tests assert this to guard double counting.
+    Raises CapacityError above ``ENUMERATION_CAP``.
     """
     px, py, t = _checked_pair(x, y, t)
     n, d = px.shape
-    terms = _perm_sums(_log_affinities(pairwise_sq_dists(px, py), t), cap)
+    terms = _perm_sums(_log_affinities(pairwise_sq_dists(px, py), t))
     return -(d * n / 2.0) * math.log(4.0 * math.pi * t) + terms
 
 

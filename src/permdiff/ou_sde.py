@@ -165,7 +165,6 @@ def _reverse_steps(
     schedule: NoiseSchedule,
     score_fn: Callable[[np.ndarray, float], np.ndarray],
     rngs: Sequence[np.random.Generator],
-    t_min: float = REVERSE_T_MIN,
 ) -> Iterator[np.ndarray]:
     """Euler-Maruyama for dy = [-y/2 - score] dt + dw on a stack of clouds.
 
@@ -174,14 +173,14 @@ def _reverse_steps(
     drift bracket is multiplied by the negative step dt = t_{k-1} - t_k, so
     one update reads y <- y + (y/2 + score) * |dt| + sqrt(|dt|) * noise,
     where cloud b draws one (N, d) standard normal per step from
-    ``rngs[b]``. Score evaluation times are clamped below at ``t_min``; a
-    score that raises, has the wrong shape or is not finite raises
-    ScoreCallbackError naming the step and time.
+    ``rngs[b]``. Score evaluation times are clamped below at
+    ``REVERSE_T_MIN``; a score that raises, has the wrong shape or is not
+    finite raises ScoreCallbackError naming the step and time.
     """
     grid = schedule.grid
     for k in range(schedule.steps, 0, -1):
         dt = float(grid[k - 1] - grid[k])
-        t_eval = max(float(grid[k]), t_min)
+        t_eval = max(float(grid[k]), REVERSE_T_MIN)
         step = schedule.steps - k
         try:
             score = np.asarray(score_fn(y, t_eval), dtype=float)
@@ -210,7 +209,6 @@ def reverse_integrate(
     schedule: NoiseSchedule,
     score_fn: Callable[[np.ndarray, float], np.ndarray],
     seed,
-    t_min: float = REVERSE_T_MIN,
 ) -> Trajectory:
     """Euler-Maruyama for dy = [-y/2 - score] dt + dw on one cloud, T down to 0.
 
@@ -225,9 +223,9 @@ def reverse_integrate(
         return np.asarray(score_fn(y[0], t), dtype=float)[None]
 
     states = [PointCloud(py)]
-    for y in _reverse_steps(py[None], schedule, stacked_score, [rng], t_min):
+    for y in _reverse_steps(py[None], schedule, stacked_score, [rng]):
         states.append(PointCloud(y[0]))
-    states[-1] = canonicalize(states[-1]).representative
+    states[-1] = canonicalize(states[-1])
     return Trajectory(times=schedule.grid[::-1].copy(), states=tuple(states))
 
 

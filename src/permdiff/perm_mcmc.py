@@ -41,19 +41,12 @@ EXACT = "exact"
 EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True, eq=False)
-class CostMatrix:
-    """Log-affinities entries[i, j] = -||x_i - y_j||^2 / (4t), all <= 0."""
-
-    entries: np.ndarray
-    t: float
-
-
-def cost_matrix(x, y, t: float) -> CostMatrix:
+def cost_matrix(x, y, t: float) -> np.ndarray:
+    """Read-only log-affinities C[i, j] = -||x_i - y_j||^2 / (4t), all <= 0."""
     px, py, t = _checked_pair(x, y, t)
     entries = _log_affinities(pairwise_sq_dists(px, py), t)
     entries.setflags(write=False)
-    return CostMatrix(entries, t)
+    return entries
 
 
 def log_weight(sigma: Permutation, x, y, t: float) -> float:
@@ -124,7 +117,7 @@ def exact_from_log_weights(
 
 def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribution:
     """The normalized posterior over all of S_N by enumeration."""
-    entries = cost_matrix(x, y, t).entries
+    entries = cost_matrix(x, y, t)
     return exact_from_log_weights(entries.shape[0], _perm_sums(entries, cap), cap)
 
 

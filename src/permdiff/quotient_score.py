@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import (
-    ENUMERATION_CAP,
     Permutation,
     _assignment,
     as_points,
@@ -126,7 +125,7 @@ def ou_conditional_score_mcmc(x0, y, t: float, cfg: McmcConfig) -> np.ndarray:
     """``ou_conditional_scores_mcmc`` of one triple, on seed ``cfg.seed``."""
     px, py = as_points(x0), as_points(y)
     check_same_shape(px, py)
-    return ou_conditional_scores_mcmc(px[None], py[None], [t], [cfg.seed], cfg)[0]
+    return ou_conditional_scores_mcmc(px[None], py[None], [t], [cfg.seed], cfg.k)[0]
 
 
 def ou_conditional_scores_batch(x0_batch: np.ndarray, y_batch: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -143,12 +142,12 @@ def ou_conditional_scores_mcmc(
     y_batch: np.ndarray,
     ts: np.ndarray,
     seeds,
-    cfg: McmcConfig,
+    k: int,
 ) -> np.ndarray:
     """MCMC conditional scores for a batch of (x0, y, t) triples in one call.
 
     Row r is (P^T x - y) / (2 tau) at x = decay * x0, with P the
-    Rao-Blackwellised assignment marginals of ``ceil(cfg.k / 8)`` block-Gibbs
+    Rao-Blackwellised assignment marginals of ``ceil(k / 8)`` block-Gibbs
     chains at (x, y, tau) on seed seeds[r], started at the most probable
     assignment (``perm_mcmc._block_gibbs``). The B targets step together in
     one call, and row r equals the lone call on seed seeds[r].
@@ -162,9 +161,11 @@ def ou_conditional_scores_mcmc(
     xb, yb, tau = _ou_triples(x0_batch, y_batch, ts)
     if len(seeds) != xb.shape[0]:
         raise DomainError("expected one seed per cloud")
+    if k < 1:
+        raise DomainError("retained sample count k must be >= 1")
     sq = pairwise_sq_dists(xb, yb)
     tau = tau[:, None, None]
-    marg = _block_gibbs(_log_affinities(sq, tau), yb, _assignment(sq), seeds, cfg.k)
+    marg = _block_gibbs(_log_affinities(sq, tau), yb, _assignment(sq), seeds, k)
     return _marginal_scores(marg, xb, yb, tau)
 
 
@@ -180,7 +181,7 @@ class ElboReport:
         return self.log_evidence - (self.elbo + self.kl)
 
 
-def elbo(r: PermDistribution, x, y, t: float, cap: int = ENUMERATION_CAP) -> ElboReport:
+def elbo(r: PermDistribution, x, y, t: float) -> ElboReport:
     """Evidence lower bound of a variational distribution r over S_N.
 
     elbo(r) = E_r[I(sigma)] + H(r); the gap to log sum_sigma exp(I(sigma))
@@ -191,12 +192,12 @@ def elbo(r: PermDistribution, x, y, t: float, cap: int = ENUMERATION_CAP) -> Elb
     """
     if r.mode != EXACT:
         raise DomainError("elbo requires an exact-mode distribution over all of S_N")
-    entries = cost_matrix(x, y, t).entries
-    perms = permutation_array(entries.shape[0], cap)
+    entries = cost_matrix(x, y, t)
+    perms = permutation_array(entries.shape[0])
     if r.support.shape != perms.shape or not np.array_equal(r.support, perms):
         raise DomainError("variational support must be the canonical enumeration of S_N")
 
-    ivals = _perm_sums(entries, cap)
+    ivals = _perm_sums(entries)
     log_evidence = float(_logsumexp(ivals))
     probs = r.probabilities()
     nz = probs > 0.0

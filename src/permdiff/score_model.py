@@ -27,11 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import QuotientPoint, as_points
+from .cloud import PointCloud, as_points
 from .errors import CapacityError, DomainError, ParseError, ShapeMismatchError, TrainingDiverged
 from .heat_kernel import DP_CEILING, _check_time
 from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_coefficients
-from .perm_mcmc import McmcConfig
 from .quotient_score import ou_conditional_scores_batch, ou_conditional_scores_mcmc
 
 N_TIME_FEATURES = 3
@@ -194,19 +193,14 @@ class EquivariantNet:
         return out
 
     def forward_single(self, y, t: float) -> np.ndarray:
+        """Evaluate one cloud at time t > 0."""
         py = as_points(y)
-        return self.forward(py[None], np.array([t]))[0]
+        return self.forward(py[None], np.array([_check_time(t)]))[0]
 
     def backprop(self, clouds: np.ndarray, ts: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         """Flat parameter gradient of sum(grad_out * output)."""
         _, state = self._forward(np.asarray(clouds, dtype=float), np.asarray(ts, dtype=float))
         return self._backward(state, grad_out)
-
-
-def net_forward(net: EquivariantNet, y, t: float) -> np.ndarray:
-    """Evaluate the score network on one cloud at time t > 0."""
-    _check_time(t)
-    return net.forward_single(y, t)
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,6 @@ class TrainConfig:
     widths: tuple[int, ...] = (64, 64)
     holdout_fraction: float = 0.1
     eval_every: int = 50
-    divergence_threshold: float = 1e6
     seed: int = 0
 
     def __post_init__(self):
@@ -254,6 +247,7 @@ def _loss_weights(weighting: str, ts: np.ndarray) -> np.ndarray:
 
 
 WARMUP_ITERATIONS = 100
+DIVERGENCE_THRESHOLD = 1e6
 
 
 def _step_scale(it: int, iterations: int) -> float:
@@ -295,17 +289,17 @@ def _noised(rng, xb: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return decay[:, None, None] * xb + np.sqrt(variance)[:, None, None] * noise
 
 
-def _targets(xb, yb, ts, mcmc_cfg: McmcConfig | None = None, rng=None) -> np.ndarray:
+def _targets(xb, yb, ts, mcmc_k: int | None = None, rng=None) -> np.ndarray:
     """Symmetrized-score targets of B (x0, y, t) triples, from one batched call.
 
-    Exact when ``mcmc_cfg`` is None, by the subset DP up to ``DP_CEILING``
-    points (CapacityError above). Otherwise MCMC: row r runs on a seed drawn
-    from ``rng``, or on seed r when no ``rng`` is given.
+    Exact when ``mcmc_k`` is None, by the subset DP up to ``DP_CEILING``
+    points (CapacityError above). Otherwise MCMC with ``mcmc_k`` samples: row
+    r runs on a seed drawn from ``rng``, or on seed r when no ``rng`` is given.
     """
-    if mcmc_cfg is None:
+    if mcmc_k is None:
         return ou_conditional_scores_batch(xb, yb, ts)
     seeds = range(len(ts)) if rng is None else rng.integers(2**63, size=len(ts))
-    return ou_conditional_scores_mcmc(xb, yb, ts, seeds, mcmc_cfg)
+    return ou_conditional_scores_mcmc(xb, yb, ts, seeds, mcmc_k)
 
 
 def dsm_loss(
@@ -314,7 +308,7 @@ def dsm_loss(
     t: float,
     target_mode: str = "exact",
     seed=0,
-    mcmc_cfg: McmcConfig | None = None,
+    mcmc_k: int = TrainConfig.mcmc_k,
     weighting: str = "none",
 ) -> tuple[float, np.ndarray]:
     """Draw a noised cloud, regress the net onto the symmetrized score.
@@ -329,12 +323,12 @@ def dsm_loss(
     """
     if target_mode not in TRAIN_CHOICES["target_mode"]:
         raise DomainError(f"unknown target mode {target_mode!r}")
-    mcmc_cfg = (mcmc_cfg or McmcConfig()) if target_mode == "mcmc" else None
+    mcmc_k = mcmc_k if target_mode == "mcmc" else None
     ts = np.array([_check_time(t)])
     xb = as_points(x0)[None]
     rng = np.random.default_rng(seed)
     yb = _noised(rng, xb, ts)
-    return _weighted_loss_grad(net, yb, ts, _targets(xb, yb, ts, mcmc_cfg, rng), weighting)
+    return _weighted_loss_grad(net, yb, ts, _targets(xb, yb, ts, mcmc_k, rng), weighting)
 
 
 @dataclass
@@ -454,8 +448,8 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
         ys.append(_noised(rng, x, t))
         ts.append(t)
     xs, ys, ts = np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
-    mcmc_cfg = None if xs.shape[1] <= DP_CEILING else McmcConfig(k=cfg.mcmc_k)
-    return ys, ts, _targets(xs, ys, ts, mcmc_cfg)
+    mcmc_k = None if xs.shape[1] <= DP_CEILING else cfg.mcmc_k
+    return ys, ts, _targets(xs, ys, ts, mcmc_k)
 
 
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:
@@ -470,7 +464,7 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
 
     The step is ``cfg.step_size * _step_scale(it, cfg.iterations)``: linear
     warmup, then cosine decay to zero (see the module docstring). A
-    non-finite loss or one above ``cfg.divergence_threshold`` raises
+    non-finite loss or one above ``DIVERGENCE_THRESHOLD`` raises
     TrainingDiverged. Exact targets come from the subset DP: exact mode
     above ``DP_CEILING`` points raises CapacityError before any work.
     """
@@ -504,18 +498,18 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
     holdout_curve: list[tuple[int, float]] = [(0, _eval_loss(net, eval_set, cfg.weighting))]
     train_curve: list[tuple[int, float]] = []
     stacked = np.stack([clouds[i] for i in train_idx])
-    mcmc_cfg = McmcConfig(k=cfg.mcmc_k) if cfg.target_mode == "mcmc" else None
+    mcmc_k = cfg.mcmc_k if cfg.target_mode == "mcmc" else None
 
     for it in range(1, cfg.iterations + 1):
         batch_idx = rng.integers(0, stacked.shape[0], size=cfg.batch_size)
         xb = stacked[batch_idx]
         ts = _sample_times(rng, cfg.batch_size, cfg.t_min, cfg.horizon)
         yb = _noised(rng, xb, ts)
-        targets = _targets(xb, yb, ts, mcmc_cfg, rng)
+        targets = _targets(xb, yb, ts, mcmc_k, rng)
         loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
-        if not math.isfinite(loss) or loss > cfg.divergence_threshold:
+        if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
             raise TrainingDiverged(
-                f"loss {loss} at iteration {it} exceeded {cfg.divergence_threshold}"
+                f"loss {loss} at iteration {it} exceeded {DIVERGENCE_THRESHOLD}"
             )
         step = cfg.step_size * _step_scale(it, cfg.iterations)
         if cfg.optimizer == "adam":
@@ -582,7 +576,7 @@ def sample_from_model(
     n_samples: int,
     schedule: NoiseSchedule,
     seed: int,
-) -> list[QuotientPoint]:
+) -> list[PointCloud]:
     """Draw stationary noise and integrate the learned reverse dynamics.
 
     All clouds are integrated together as one (n_samples, N, d) state, with

@@ -103,7 +103,7 @@ def test_criterion_3_posterior_mcmc_correctness():
         # detailed balance, exhaustively over S_3 transition pairs
         x = rng.standard_normal((3, 2))
         y = rng.standard_normal((3, 2))
-        entries = cost_matrix(x, y, 0.4).entries
+        entries = cost_matrix(x, y, 0.4)
         post = posterior_exact(x, y, 0.4)
         q = dict(zip(map(tuple, post.support.tolist()), post.probabilities()))
         for sigma in itertools.permutations(range(3)):

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -16,6 +17,7 @@ import pytest
 from permdiff import bench, cli
 from permdiff.errors import ParseError
 from permdiff.io import write_cloud_text, write_dataset
+from permdiff.ou_sde import NoiseSchedule
 from permdiff.score_model import TrainConfig, train
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -341,7 +343,6 @@ class TestReadme:
     def test_train_flags_config_keys_and_fields_agree(self, tmp_path):
         default = TrainConfig()
         settings = {f.name: getattr(default, f.name) for f in dataclasses.fields(TrainConfig)}
-        del settings["divergence_threshold"]
         widths = settings.pop("widths")
         settings.update(width=widths[0], depth=len(widths))
         parser = cli.build_parser()
@@ -390,6 +391,17 @@ class TestPosterior:
         assert len(records) == 50
         diag = json.loads(diag_path.read_text())
         jsonschema.validate(diag, load_schema("posterior-diagnostics.json"))
+
+    def test_diagnostics_outside_mcmc_is_a_domain_error(self, clouds, capsys):
+        # The exact posterior runs no chain, so it has no diagnostics to write.
+        x, y, tmp = clouds
+        diag_path = tmp / "diag.json"
+        code, out, err = run_cli(
+            capsys, ["posterior", "--x", x, "--y", y, "--t", "0.5", "--diagnostics", str(diag_path)]
+        )
+        assert code == cli.EXIT_DOMAIN
+        assert out == "" and not diag_path.exists()
+        assert len(err.splitlines()) == 1 and "--mode mcmc" in err
 
 
 class TestScore:
@@ -588,6 +600,62 @@ class TestBenchCommands:
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-score", "--t", "-1"],
+            ["bench-score", "--k-grid", "8"],
+            ["bench-gen", "--kind", "ring", "--reference", "0"],
+            ["bench-gen", "--kind", "ring", "--samples", "1"],
+            ["bench-gen", "--kind", "ring", "--shuffles", "-3"],
+            ["bench-gen", "--kind", "ring", "--shuffles", "0"],
+        ],
+        ids=["negative-t", "one-k", "no-reference", "one-sample", "negative-shuffles",
+             "no-shuffles"],
+    )
+    def test_bench_edge_inputs_are_domain_errors(self, monkeypatch, capsys, argv):
+        # Rejected before any work: the study instance and the training fail the test.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(bench, "default_study_instance", no_work)
+        monkeypatch.setattr(bench, "train", no_work)
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
+
+    def test_flags_left_out_keep_the_library_defaults(self, monkeypatch, capsys, tmp_path):
+        # With no optional flag, bench-score, bench-gen and make-data pass the
+        # library none of the parameters that it defaults.
+        passed = {}
+
+        def stub(name, result):
+            signature = inspect.signature(getattr(bench, name))
+
+            def fake(*args, **kwargs):
+                passed[name] = signature.bind(*args, **kwargs).arguments
+                return result
+
+            monkeypatch.setattr(bench, name, fake)
+
+        stub("run_estimator_study", bench.EstimatorStudy(2, 1, 0.5, 0, (1, 2), 2, (1.0, 0.5), -1.0))
+        stub("run_toy_generation", bench.GenReport(0, 0, 0.0, 1.0, trained=False))
+        stub("make_synthetic_dataset", [np.zeros((3, 2))])
+        assert run_cli(capsys, ["bench-score"])[0] == 0
+        assert set(passed["run_estimator_study"]) == {"seed"}
+        dataset_args = {"kind", "n_items", "n_points", "dim", "seed"}
+        argv = ["make-data", "--kind", "ring", "--out", str(tmp_path / "d.jsonl")]
+        assert run_cli(capsys, argv)[0] == 0
+        assert set(passed["make_synthetic_dataset"]) == dataset_args
+        passed.clear()
+        assert run_cli(capsys, ["bench-gen", "--kind", "ring"])[0] == 0
+        assert set(passed["make_synthetic_dataset"]) == dataset_args
+        gen = passed["run_toy_generation"]
+        assert set(gen) == {"dataset", "train_cfg", "schedule", "seed", "do_train"}
+        t_end = inspect.signature(NoiseSchedule.geometric).parameters["t_end"].default
+        assert gen["schedule"].grid[1] == t_end
 
     def test_bench_score_cap_reaches_exact_reference(self, capsys):
         # N = 10 is above the enumeration cap; the exact reference score

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from permdiff.cloud import Permutation, apply
+from permdiff.cloud import ENUMERATION_CAP, Permutation, apply
 from permdiff.errors import CapacityError, DomainError
 from permdiff.heat_kernel import (
     DP_CEILING,
@@ -164,10 +164,10 @@ class TestQuotientKernel:
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_custom_cap(self):
-        # the per-permutation terms enumerate S_N and keep their cap
-        x = np.zeros((3, 1))
+        # the per-permutation terms enumerate S_N up to the fixed cap
+        x = np.zeros((ENUMERATION_CAP + 1, 1))
         with pytest.raises(CapacityError):
-            quotient_log_kernel_terms(x, x, 1.0, cap=2)
+            quotient_log_kernel_terms(x, x, 1.0)
 
 
 class TestSemigroup:

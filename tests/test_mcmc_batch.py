@@ -115,7 +115,7 @@ def test_rows_equal_lone_chains(batch, burn_in, thinning):
     n = x.shape[1]
     burn_in = 50 * n if burn_in is None else burn_in
     thinning = n if thinning is None else thinning
-    entries = np.stack([cost_matrix(xr, yr, t).entries for xr, yr, t in zip(x, y, ts)])
+    entries = np.stack([cost_matrix(xr, yr, t) for xr, yr, t in zip(x, y, ts)])
     starts = np.stack([min_cost_assignment(xr, yr).mapping for xr, yr in zip(x, y)])
     for r, seed in enumerate(seeds):
         states, accepted = _swap_chain(entries[r], starts[r], seed, burn_in, thinning, k)
@@ -138,7 +138,7 @@ def test_rows_equal_lone_chains(batch, burn_in, thinning):
 @given(batches(min_log10_t=-300.0, max_k=80))
 def test_batched_targets_equal_lone_targets(batch):
     x, y, ts, seeds, k = batch
-    targets = ou_conditional_scores_mcmc(x, y, ts, seeds, McmcConfig(k=k))
+    targets = ou_conditional_scores_mcmc(x, y, ts, seeds, k)
     assert np.all(np.isfinite(targets))
     for r, seed in enumerate(seeds):
         ref = ou_conditional_score_mcmc(x[r], y[r], ts[r], McmcConfig(k=k, seed=seed))

@@ -36,18 +36,19 @@ class TestCostMatrix:
     def test_diagonal_zero_when_equal(self):
         x = np.random.default_rng(0).standard_normal((4, 2))
         cm = cost_matrix(x, x, 0.8)
-        np.testing.assert_allclose(np.diag(cm.entries), 0.0, atol=1e-15)
-        assert np.all(cm.entries <= 0.0)
+        np.testing.assert_allclose(np.diag(cm), 0.0, atol=1e-15)
+        assert np.all(cm <= 0.0)
+        assert not cm.flags.writeable
 
     def test_closed_form_entry(self):
         cm = cost_matrix([[0.0], [1.0]], [[0.0], [2.0]], 0.25)
-        assert cm.entries[0, 1] == pytest.approx(-4.0, rel=1e-14)
+        assert cm[0, 1] == pytest.approx(-4.0, rel=1e-14)
 
     def test_doubling_t_halves_entries(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        a = cost_matrix(x, y, 0.4).entries
-        b = cost_matrix(x, y, 0.8).entries
+        a = cost_matrix(x, y, 0.4)
+        b = cost_matrix(x, y, 0.8)
         np.testing.assert_allclose(b, a / 2.0, rtol=1e-14)
 
     def test_rejects_bad_time(self):
@@ -69,7 +70,7 @@ class TestLogWeight:
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
         t = 0.42
-        entries = cost_matrix(x, y, t).entries
+        entries = cost_matrix(x, y, t)
         for _ in range(25):
             sigma = Permutation(tuple(rng.permutation(6)))
             via_trace = sum(entries[sigma.mapping[j], j] for j in range(6))
@@ -163,7 +164,7 @@ class TestDetailedBalance:
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
         t = 0.35
-        entries = cost_matrix(x, y, t).entries
+        entries = cost_matrix(x, y, t)
         post = posterior_exact(x, y, t)
         q = dict(zip(map(tuple, post.support.tolist()), post.probabilities()))
         pairs_checked = 0
@@ -190,7 +191,7 @@ class TestDetailedBalance:
         rng = np.random.default_rng(15)
         x, y = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
         t = 0.35
-        entries = cost_matrix(x, y, t).entries
+        entries = cost_matrix(x, y, t)
         start = min_cost_assignment(x, y).mapping
         law = {}
         for sigma_prime in itertools.permutations(range(3)):
@@ -279,7 +280,7 @@ class TestBlockGibbs:
         x, y = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
         if n == 4:
             y[3] = y[1]  # tied distances: the nearest slots break ties by index
-        entries = cost_matrix(x, y, 0.35).entries
+        entries = cost_matrix(x, y, 0.35)
         states, kernel = block_gibbs_transition_matrix(entries, y)
         np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         q = posterior_exact(x, y, 0.35)
@@ -302,7 +303,7 @@ class TestBlockGibbs:
         x, y = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
         if tied:
             y[:] = y[0]
-        entries = cost_matrix(x, y, 0.35).entries
+        entries = cost_matrix(x, y, 0.35)
         start = np.asarray(min_cost_assignment(x, y).mapping)
         states, kernel = block_gibbs_transition_matrix(entries, y)
         law = np.zeros(len(states))

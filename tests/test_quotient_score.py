@@ -252,8 +252,13 @@ class TestOuConditionalScoresBatch:
         rng = np.random.default_rng(27)
         x0 = 1e6 * rng.standard_normal((8, 5, 2))
         y = rng.standard_normal((8, 5, 2))
-        targets = ou_conditional_scores_mcmc(x0, y, np.full(8, 1e-300), range(8), McmcConfig())
+        targets = ou_conditional_scores_mcmc(x0, y, np.full(8, 1e-300), range(8), 32)
         assert np.all(np.isfinite(targets))
+
+    def test_mcmc_targets_reject_k_below_one(self):
+        x0 = np.zeros((1, 3, 2))
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            ou_conditional_scores_mcmc(x0, x0, [0.5], [0], 0)
 
     def test_mcmc_targets_beat_the_swap_chain_at_n10(self):
         # Variance-weighted squared error against the exact DP targets over a
@@ -265,7 +270,7 @@ class TestOuConditionalScoresBatch:
         decay, var = ou_coefficients(ts)
         y = decay[:, None, None] * x0 + np.sqrt(var)[:, None, None] * rng.standard_normal(x0.shape)
         exact = ou_conditional_scores_batch(x0, y, ts)
-        blocks = ou_conditional_scores_mcmc(x0, y, ts, range(64), McmcConfig(k=32))
+        blocks = ou_conditional_scores_mcmc(x0, y, ts, range(64), 32)
         swaps = np.stack([
             symmetrized_score_mcmc(d * x, yr, v / 2.0, McmcConfig(k=32, seed=r))
             for r, (x, yr, d, v) in enumerate(zip(x0, y, decay, var))

@@ -23,7 +23,6 @@ from permdiff.score_model import (
     TrainConfig,
     checkpoint_score_fn,
     dsm_loss,
-    net_forward,
     _frozen_eval_set,
     _sample_times,
     sample_from_model,
@@ -73,7 +72,7 @@ class TestEquivariance:
     def test_time_validation(self):
         net = EquivariantNet(1, (4,), seed=8)
         with pytest.raises(DomainError):
-            net_forward(net, [[0.0]], 0.0)
+            net.forward_single([[0.0]], 0.0)
 
 
 # The profile of conftest.py. The decorators stay: hypothesis derives a
@@ -206,9 +205,7 @@ class TestDsmLoss:
     def test_mcmc_mode_runs_and_is_finite(self):
         net = randomized_net(2, (6,), seed=24)
         x0 = np.random.default_rng(25).standard_normal((3, 2))
-        loss, grad = dsm_loss(
-            net, x0, 0.5, target_mode="mcmc", seed=3, mcmc_cfg=McmcConfig(k=16)
-        )
+        loss, grad = dsm_loss(net, x0, 0.5, target_mode="mcmc", seed=3, mcmc_k=16)
         assert math.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
@@ -371,6 +368,23 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             ckpt.build_net().forward_single(y, 0.5),
             loaded.build_net().forward_single(y, 0.5),
+        )
+
+    def test_loads_a_train_config_with_divergence_threshold(self, tmp_path):
+        # Checkpoints written while the threshold was a TrainConfig field hold
+        # it in train_config. Such a file loads and samples as it did then:
+        # the digest was computed with that version of the package.
+        rng = np.random.default_rng(48)
+        data = [rng.standard_normal((3, 2)) for _ in range(6)]
+        ckpt = train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,), seed=49))
+        ckpt.train_config["divergence_threshold"] = 1e6
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path)
+        loaded = Checkpoint.load(path)
+        assert loaded.train_config == ckpt.train_config
+        samples = sample_from_model(loaded, 4, NoiseSchedule.geometric(1.0, 16, 1e-3), seed=50)
+        assert hashlib.sha256(np.stack([s.points for s in samples]).tobytes()).hexdigest() == (
+            "a927dd3d73f80ebfe75129e03c08abacc6e9742fc9bae2187f9db36d10696ec6"
         )
 
     def test_rejects_corrupt_file(self, tmp_path):
