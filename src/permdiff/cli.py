@@ -125,10 +125,8 @@ def cmd_posterior(args) -> int:
         dist = posterior_exact(x, y, args.t, args.cap)
     else:
         dist, diag = mcmc_sample(x, y, args.t, McmcConfig(seed=args.seed, **_given(args, "k")))
-    lines = []
-    for row, lw in zip(dist.support, dist.log_weights):
-        lines.append(_dump({"perm": [int(v) for v in row], "log_weight": float(lw)}))
-    _emit(args, "".join(lines))
+    rows = zip(dist.support.tolist(), dist.log_weights.tolist())
+    _emit(args, "".join(_dump({"perm": row, "log_weight": lw}) for row, lw in rows))
     if args.diagnostics:
         with open(args.diagnostics, "w") as fh:
             fh.write(_dump(asdict(diag)))

@@ -53,7 +53,8 @@ def _marginal_scores(marg: np.ndarray, x: np.ndarray, y: np.ndarray, t) -> np.nd
     marg[..., i, j] is the probability that slot j holds point i, x and y are
     (..., N, d), and t broadcasts against them.
     """
-    return (np.swapaxes(marg, -1, -2) @ x - y) / (2.0 * t)
+    with np.errstate(over="ignore"):  # 2t overflows to inf near the largest float
+        return (np.swapaxes(marg, -1, -2) @ x - y) / (2.0 * t)
 
 
 def _exact_scores(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:

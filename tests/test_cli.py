@@ -78,6 +78,28 @@ class TestKernel:
         assert code == 0 and out == ""
         validate_lines(out_path.read_text(), "kernel.json")
 
+    def test_largest_times(self, tmp_path, capsys):
+        # 4 pi t overflows above t ~ 1.4e307, but the log density is finite:
+        # -(dN/2)(log(4 pi) + log t) - ||x - y||^2 / (4t), plus log 3! for the
+        # quotient, whose permutations all weigh 1 at this t.
+        x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        write_cloud_text(x, pts)
+        write_cloud_text(y, pts + 0.1)
+        euclid = -3.0 * (math.log(4.0 * math.pi) + math.log(1e308))
+        for mode, expected in [("euclid", euclid), ("quotient-exact", euclid + math.log(6.0))]:
+            code, out, err = run_cli(
+                capsys, ["kernel", "--x", str(x), "--y", str(y), "--t", "1e308", "--mode", mode]
+            )
+            assert code == 0 and err == ""
+            rec = validate_lines(out, "kernel.json")[0]
+            assert rec["log_density"] == pytest.approx(expected, rel=1e-14)
+        code, out, err = run_cli(
+            capsys, ["score", "--x", str(x), "--y", str(y), "--t", "1.7e308", "--mode", "exact"]
+        )
+        assert code == 0 and err == ""
+        assert np.all(np.abs(json.loads(out)["score"]) == 0.0)
+
 
 class TestExitCodes:
     def test_no_arguments_usage(self, capsys):

@@ -1,5 +1,6 @@
 """Euclidean and quotient heat kernels against hand-derived closed forms."""
 
+import hashlib
 import itertools
 import math
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from permdiff.cloud import ENUMERATION_CAP, Permutation, apply
+from permdiff.cloud import ENUMERATION_CAP, Permutation, apply, permutation_array
 from permdiff.errors import CapacityError, DomainError
 from permdiff.heat_kernel import (
     DP_CEILING,
     _logsumexp,
+    _perm_sums,
     euclid_log_heat_kernel,
     initial_condition_check,
     quotient_kernel_semigroup_residual,
@@ -19,6 +21,7 @@ from permdiff.heat_kernel import (
     quotient_log_kernel_terms,
 )
 from permdiff.ou_sde import ou_transition, quotient_transition_log_density
+from permdiff.perm_mcmc import posterior_exact
 
 
 def _logsumexp_grid(seed):
@@ -36,18 +39,74 @@ def _logsumexp_grid(seed):
     return a
 
 
+def _logsumexp_long(seed):
+    """1-D arrays of 8! terms: some -inf, a tie at the maximum, all -inf, one +inf, one NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(math.factorial(8)) * 30.0
+    some_neg_inf = np.where(rng.random(a.size) < 0.1, -np.inf, a)
+    tie = a.copy()
+    tie[rng.choice(a.size, 3, replace=False)] = a.max()
+    cases = [some_neg_inf, tie, np.full(a.size, -np.inf)]
+    for special in (np.inf, np.nan):
+        case = a.copy()
+        case[rng.integers(a.size)] = special
+        cases.append(case)
+    return cases
+
+
 class TestLogsumexp:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("axis", [None, 2])
     def test_equals_scipy_bitwise(self, seed, axis):
         a = _logsumexp_grid(seed)
-        cases = [a, a[0], a[0, 0], a[3, 4]] if axis is None else [a]
+        cases = [a, a[0], a[0, 0], a[3, 4], *_logsumexp_long(seed)] if axis is None else [a]
         for case in cases:
             with np.errstate(over="ignore"):  # scipy's shift may overflow to -inf
                 expected = logsumexp(case, axis=axis)
             got = _logsumexp(case, axis=axis)
             assert type(got) is type(expected) and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+def _reference_perm_sums(cost):
+    """One (..., N!) gather per slot, added left to right."""
+    perms = permutation_array(cost.shape[-1])
+    out = cost[..., perms[:, 0], 0]
+    for j in range(1, cost.shape[-1]):
+        out += cost[..., perms[:, j], j]
+    return out
+
+
+class TestPermSums:
+    @pytest.mark.parametrize(
+        "n, lead",
+        [(n, lead) for n in range(1, 9) for lead in [(), (3,), (2, 2)]] + [(9, ())],
+    )
+    def test_equals_reference_bitwise(self, n, lead):
+        rng = np.random.default_rng(40 + n)
+        for scale in (1e-3, 1.0, 1e5, 1e307):
+            cost = -np.abs(rng.standard_normal((*lead, n, n))) * scale
+            cost[rng.random(cost.shape) < 0.1] = -np.inf
+            with np.errstate(over="ignore"):  # sums of -1e307 terms reach -inf
+                expected = _reference_perm_sums(cost)
+                got = _perm_sums(cost)
+            assert got.shape == (*lead, math.factorial(n))
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "t, digest",
+        [
+            (0.05, "c2359cb4143d51ffd4dbeae9708aab2c7d87db8908ba5c74b5b8f863e9f0b5bf"),
+            (0.5, "0255265070ece3e60e54a61cfc020f35045daded059913db5342f5b495c8d8e4"),
+            (5.0, "26f3666803ea021e3d8d2a8be1dd6b402f04a6ed69d92a377c249ba2c713ffb8"),
+        ],
+    )
+    def test_posterior_log_weights_are_pinned(self, t, digest):
+        # Digests of the one-gather-per-slot enumeration, on numpy 2.4.
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+        log_weights = posterior_exact(x, y, t).log_weights
+        assert hashlib.sha256(log_weights.tobytes()).hexdigest() == digest
 
 
 class TestEuclidKernel:
