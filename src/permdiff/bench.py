@@ -130,6 +130,10 @@ def make_synthetic_dataset(
         raise DomainError(f"unknown dataset kind {kind!r}; choose from {DATASET_KINDS}")
     if n_items < 1 or n_points < 1 or dim < 1:
         raise DomainError("n_items, n_points, and dim must all be >= 1")
+    if not all(map(math.isfinite, (jitter, radius, blob_std))):
+        raise DomainError(
+            f"jitter, radius and blob_std must be finite, got {jitter}, {radius} and {blob_std}"
+        )
     rng = np.random.default_rng(seed)
     items = []
     if kind == "gaussian-blobs":

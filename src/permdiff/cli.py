@@ -1,6 +1,6 @@
 """Command-line interface: one binary, subcommand per operation.
 
-Data goes to stdout or --out files; logs go to stderr. Every subcommand
+Data goes to stdout or --out files; errors go to stderr. Every subcommand
 that draws randomness funnels it through a single --seed flag, and seeded
 invocations are bitwise reproducible. A subcommand registers only the
 flags its handler reads.
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from dataclasses import asdict
 
 from . import bench, io
-from .cloud import ENUMERATION_CAP, as_points
+from .cloud import as_points
 from .errors import DomainError, ParseError, PermdiffError
 from .heat_kernel import euclid_log_heat_kernel, quotient_log_heat_kernel_exact
 from .ou_sde import (
@@ -69,7 +68,6 @@ _ERROR_CODES = {
     "shape-mismatch": EXIT_DOMAIN,
     "score-callback": EXIT_DOMAIN,
     "diverged": EXIT_DIVERGED,
-    "file-not-found": EXIT_FILE_NOT_FOUND,
 }
 
 
@@ -122,7 +120,7 @@ def cmd_posterior(args) -> int:
     x = _load_cloud(args.x, args.elements)
     y = _load_cloud(args.y, args.elements)
     if args.mode == "exact":
-        dist = posterior_exact(x, y, args.t, args.cap)
+        dist = posterior_exact(x, y, args.t)
     else:
         dist, diag = mcmc_sample(x, y, args.t, McmcConfig(seed=args.seed, **_given(args, "k")))
     rows = zip(dist.support.tolist(), dist.log_weights.tolist())
@@ -319,14 +317,13 @@ _SHARED_FLAGS = {
 
 
 def _add_common(p, *shared, out_required=False):
-    """--out, -v and those of the shared flags --seed, --k, --elements named."""
+    """--out and those of the shared flags --seed, --k, --elements named."""
     p.add_argument(
         "--out", required=out_required,
         help="output path" if out_required else "write data here instead of stdout",
     )
     for name in shared:
         p.add_argument("--" + name, **_SHARED_FLAGS[name])
-    p.add_argument("-v", "--verbose", action="store_true")
 
 
 def _add_schedule_flags(p, horizon=5.0, steps=200, grid="uniform"):
@@ -380,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior", help="posterior over permutations")
     _add_cloud_pair(p)
     p.add_argument("--mode", choices=("exact", "mcmc"), default="exact")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="largest N to enumerate")
     p.add_argument("--diagnostics", help="sidecar JSON path for chain diagnostics")
     _add_common(p, "seed", "k", "elements")
 
@@ -463,11 +459,6 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:

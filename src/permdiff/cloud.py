@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
-# Default cap on N where all N! permutations are enumerated (the exact
-# posterior, the per-permutation kernel terms, the ELBO): 9! = 362880 terms
+# Largest N where all N! permutations are enumerated (the exact posterior,
+# the per-permutation kernel terms, the ELBO): 9! = 362880 terms
 # keeps a single enumeration around a second. The subset DP behind the exact
 # kernels and scores is limited only by heat_kernel.DP_CEILING.
 ENUMERATION_CAP = 9
@@ -200,34 +200,28 @@ def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
             i += 1
 
 
-def permutation_array(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All n! permutations as a read-only (n!, n) index array, cached per n.
-
-    Raises CapacityError above the enumeration cap; callers wanting larger N
-    should switch to the MCMC estimators.
-    """
-    if n > cap:
-        raise CapacityError(
-            f"exact evaluation over all {n}! permutations exceeds the cap of N <= {cap}; "
-            "use the MCMC estimator instead"
-        )
-    return _permutation_table(n)
-
-
 @lru_cache(maxsize=None)
-def _permutation_table(n: int) -> np.ndarray:
-    """``iter_permutations(n)`` as an array, built from the (n - 1) table.
+def permutation_array(n: int) -> np.ndarray:
+    """``iter_permutations(n)`` as a read-only (n!, n) index array, cached per n.
 
-    Heap's order is n blocks of (n - 1)! rows. Block c keeps the last entry
-    of its start state in position n - 1 and runs the first n - 1 entries
-    through the order of the (n - 1) table. The next block starts from the
-    block's last row with position n - 1 exchanged with position 0 (n odd)
-    or c (n even).
+    Raises CapacityError above ``ENUMERATION_CAP``, on every call and before
+    any work; callers wanting larger N should switch to the MCMC estimators.
+
+    The table is built from the (n - 1) table. Heap's order is n blocks of
+    (n - 1)! rows. Block c keeps the last entry of its start state in
+    position n - 1 and runs the first n - 1 entries through the order of the
+    (n - 1) table. The next block starts from the block's last row with
+    position n - 1 exchanged with position 0 (n odd) or c (n even).
     """
+    if n > ENUMERATION_CAP:
+        raise CapacityError(
+            f"exact evaluation over all {n}! permutations exceeds the cap of "
+            f"N <= {ENUMERATION_CAP}; use the MCMC estimator instead"
+        )
     if n <= 1:
         arr = np.zeros((1, n), dtype=np.intp)
     else:
-        sub = _permutation_table(n - 1)
+        sub = permutation_array(n - 1)
         arr = np.empty((math.factorial(n), n), dtype=np.intp)
         state = np.arange(n)
         for c, block in enumerate(arr.reshape(n, -1, n)):

@@ -17,8 +17,7 @@ Two exact cores serve every sum over S_N:
   sampled permutations is given: the per-permutation kernel terms, the
   exact posterior, the ELBO and the swap chain's sample sets. The sums
   follow the runs of Heap's order and are still added left to right.
-  Enumeration stops at N = ``ENUMERATION_CAP`` (9); only the exact posterior
-  takes another cap.
+  Enumeration stops at N = ``ENUMERATION_CAP`` (9).
 
 The kernels here, the posterior, the scores and the training targets share
 the checked pair (``_checked_pair``), the log affinities -||x_i - y_j||^2 / (4t)
@@ -34,7 +33,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .cloud import (
-    ENUMERATION_CAP,
     as_points,
     check_same_shape,
     pairwise_sq_dists,
@@ -127,19 +125,19 @@ def _prefix_index(n: int) -> np.ndarray:
     80 KB at n = 8.
     """
     k = min(_PREFIX_SLOTS, n)
-    perms = permutation_array(n, cap=n)  # the caller checked the cap
+    perms = permutation_array(n)
     idx = np.ravel_multi_index(tuple(perms[:, :k].T), (n,) * k)
     idx = idx.astype(np.min_scalar_type(n**k - 1))
     idx.setflags(write=False)
     return idx
 
 
-def _perm_sums(cost: np.ndarray, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def _perm_sums(cost: np.ndarray) -> np.ndarray:
     """Permutation sums of a cost array: (..., N, N) -> (..., N!) in Heap's order.
 
     Entry k is sum_j cost[..., s(j), j] for the k-th permutation s of
     ``permutation_array``; with log affinities as costs it is that
-    permutation's log weight. Raises CapacityError above ``cap``.
+    permutation's log weight. Raises CapacityError above ``ENUMERATION_CAP``.
 
     The sums follow the runs of Heap's order, adding the slots left to right
     as a loop over j would: the sums of slots 0..k-1 (k = min(4, N)) are
@@ -148,7 +146,7 @@ def _perm_sums(cost: np.ndarray, cap: int = ENUMERATION_CAP) -> np.ndarray:
     run in one broadcast add.
     """
     n = cost.shape[-1]
-    perms = permutation_array(n, cap)
+    perms = permutation_array(n)
     k = min(_PREFIX_SLOTS, n)
     lead = cost.shape[:-2]
     # Tuples that repeat a point are tabulated but never gathered; their
@@ -337,12 +335,10 @@ def quotient_kernel_semigroup_residual(
     cancelling the 1/N! volume factor. Returns |estimate - Kq(s+t, x, y)|
     and the standard error of the estimate.
     """
-    s = _check_time(s)
+    px, py, s = _checked_pair(x, y, s)
     t = _check_time(t)
     if m < 1:
         raise DomainError("sample count m must be >= 1")
-    px, py = as_points(x), as_points(y)
-    check_same_shape(px, py)
     n, d = px.shape
     rng = np.random.default_rng(seed)
     z = px[None, :, :] + math.sqrt(2.0 * s) * rng.standard_normal((m, n, d))
@@ -369,9 +365,7 @@ def initial_condition_check(
     to f(x).
     """
     px = as_points(x)
-    ts = [float(t) for t in t_sequence]
-    if any(t <= 0 for t in ts):
-        raise DomainError("all times must be positive")
+    ts = [_check_time(t) for t in t_sequence]
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise DomainError("t_sequence must be strictly decreasing")
     if m < 1:

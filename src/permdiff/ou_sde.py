@@ -75,8 +75,8 @@ class NoiseSchedule:
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "NoiseSchedule":
-        if horizon <= 0 or steps < 1:
-            raise DomainError("need horizon > 0 and steps >= 1")
+        if not 0.0 < horizon < math.inf or steps < 1:
+            raise DomainError(f"need 0 < horizon < inf and steps >= 1, got {horizon} and {steps}")
         return cls(np.linspace(0.0, horizon, steps + 1))
 
     @classmethod
@@ -86,8 +86,8 @@ class NoiseSchedule:
         Step sizes shrink proportionally to t, which keeps the reverse
         integrator stable through the strongly contracting small-t regime.
         """
-        if horizon <= 0 or steps < 2:
-            raise DomainError("need horizon > 0 and steps >= 2")
+        if not 0.0 < horizon < math.inf or steps < 2:
+            raise DomainError(f"need 0 < horizon < inf and steps >= 2, got {horizon} and {steps}")
         if not (0.0 < t_end < horizon):
             raise DomainError("need 0 < t_end < horizon")
         grid = np.concatenate([[0.0], np.geomspace(t_end, horizon, steps)])
@@ -114,28 +114,27 @@ class Trajectory:
             raise DomainError("times and states must have equal length")
 
 
+def _noised(rng, xb: np.ndarray, ts) -> np.ndarray:
+    """Draws of the forward transitions from clouds xb (B, N, d) over elapsed times ts (B,)."""
+    decay, variance = ou_coefficients(ts)
+    noise = rng.standard_normal(xb.shape)
+    return decay[:, None, None] * xb + np.sqrt(variance)[:, None, None] * noise
+
+
 def forward_sample(x0, t: float, seed) -> PointCloud:
     """Draw from the transition at time t started from x0."""
     t = _check_time(t)
-    px = as_points(x0)
-    tr = ou_transition(0.0, t)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(px.shape)
-    return PointCloud(tr.decay * px + math.sqrt(tr.variance) * noise)
+    return PointCloud(_noised(np.random.default_rng(seed), as_points(x0)[None], [t])[0])
 
 
 def forward_trajectory(x0, schedule: NoiseSchedule, seed) -> Trajectory:
     """Exact forward chain sampled at every grid time."""
-    px = as_points(x0)
     rng = np.random.default_rng(seed)
-    states = [PointCloud(px)]
-    current = px
-    for s, t in zip(schedule.grid[:-1], schedule.grid[1:]):
-        tr = ou_transition(float(s), float(t))
-        current = tr.decay * current + math.sqrt(tr.variance) * rng.standard_normal(
-            px.shape
-        )
-        states.append(PointCloud(current))
+    y = as_points(x0)[None]
+    states = [PointCloud(y[0])]
+    for dt in np.diff(schedule.grid):
+        y = _noised(rng, y, [dt])
+        states.append(PointCloud(y[0]))
     return Trajectory(times=schedule.grid.copy(), states=tuple(states))
 
 

@@ -2,8 +2,8 @@
 
 q(sigma) is the softmax over S_N of I(sigma) = -||x - sigma(y)||^2 / (4t),
 the soft assignment of noised points to clean points. Exact normalization
-enumerates all N! permutations, up to a cap on N (``ENUMERATION_CAP`` by
-default). ``mcmc_sample`` samples q without ever normalizing it, by a
+enumerates all N! permutations, up to N = ``ENUMERATION_CAP`` (9).
+``mcmc_sample`` samples q without ever normalizing it, by a
 Metropolis-Hastings chain over transpositions with a fixed burn-in of 50N
 steps and thinning N; ``McmcConfig`` sets only the sample count and the
 seed. The MCMC training targets use a block-Gibbs chain instead,
@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .cloud import (
-    ENUMERATION_CAP,
     Permutation,
     _assignment,
     pairwise_sq_dists,
@@ -96,9 +95,7 @@ class PermDistribution:
         return _assignment_marginals(self.support, self.probabilities())
 
 
-def exact_from_log_weights(
-    n: int, raw_log_weights: np.ndarray, cap: int = ENUMERATION_CAP
-) -> PermDistribution:
+def exact_from_log_weights(n: int, raw_log_weights: np.ndarray) -> PermDistribution:
     """Normalize raw log weights over the canonical enumeration of S_n.
 
     Raises DomainError when no weight is finite (log Z = -inf: far points
@@ -112,13 +109,13 @@ def exact_from_log_weights(
     log_z = _logsumexp(lw)
     _check_finite_weight(log_z == -math.inf)
     lw = lw - log_z
-    return PermDistribution(permutation_array(n, cap), lw, EXACT)
+    return PermDistribution(permutation_array(n), lw, EXACT)
 
 
-def posterior_exact(x, y, t: float, cap: int = ENUMERATION_CAP) -> PermDistribution:
+def posterior_exact(x, y, t: float) -> PermDistribution:
     """The normalized posterior over all of S_N by enumeration."""
     entries = cost_matrix(x, y, t)
-    return exact_from_log_weights(entries.shape[0], _perm_sums(entries, cap), cap)
+    return exact_from_log_weights(entries.shape[0], _perm_sums(entries))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from .cloud import PointCloud, as_points
 from .errors import CapacityError, DomainError, ParseError, ShapeMismatchError, TrainingDiverged
 from .heat_kernel import DP_CEILING, _check_time
-from .ou_sde import NoiseSchedule, _reverse_steps, canonicalize, ou_coefficients
+from .ou_sde import NoiseSchedule, _noised, _reverse_steps, canonicalize, ou_coefficients
 from .quotient_score import ou_conditional_scores_batch, ou_conditional_scores_mcmc
 
 N_TIME_FEATURES = 3
@@ -222,10 +222,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_min <= 0:
-            raise DomainError("t_min must be positive")
-        if self.t_min >= self.horizon:
-            raise DomainError("t_min must be below the horizon")
+        if not 0.0 < self.t_min < self.horizon < math.inf:
+            raise DomainError(
+                f"need 0 < t_min < horizon < inf, got t_min={self.t_min}, horizon={self.horizon}"
+            )
+        for name in ("step_size", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name, allowed in TRAIN_CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise DomainError(f"unknown {name} {getattr(self, name)!r}")
@@ -280,13 +283,6 @@ def _sample_times(rng, count: int, t_min: float, horizon: float) -> np.ndarray:
     # Log-uniform on [t_min, horizon]: covers concentrated and diffuse regimes.
     lo, hi = math.log(t_min), math.log(horizon)
     return np.exp(rng.uniform(lo, hi, size=count))
-
-
-def _noised(rng, xb: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Draws of the forward transitions from clouds xb (B, N, d) to times ts (B,)."""
-    decay, variance = ou_coefficients(ts)
-    noise = rng.standard_normal(xb.shape)
-    return decay[:, None, None] * xb + np.sqrt(variance)[:, None, None] * noise
 
 
 def _targets(xb, yb, ts, mcmc_k: int | None = None, rng=None) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permdiff.bench import (
+    DATASET_KINDS,
     cloud_features,
     default_study_instance,
     energy_distance,
@@ -104,6 +105,13 @@ class TestSyntheticDatasets:
         base = sorted_pairwise_distances(items[0])
         for item in items[1:]:
             np.testing.assert_allclose(sorted_pairwise_distances(item), base, atol=1e-12)
+
+    @pytest.mark.parametrize("setting", ["jitter", "radius", "blob_std"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_settings_must_be_finite(self, setting, bad):
+        for kind in DATASET_KINDS:
+            with pytest.raises(DomainError, match="must be finite"):
+                make_synthetic_dataset(kind, 2, 3, 2, seed=5, **{setting: bad})
 
     def test_ring_needs_two_dims(self):
         with pytest.raises(DomainError):

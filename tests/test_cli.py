@@ -51,6 +51,33 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def tiny_argv(tmp_path):
+    """Per subcommand, arguments that run it on tiny inputs in well under a second."""
+    x, y = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
+    write_cloud_text(x, np.array([[0.0], [1.0]]))
+    write_cloud_text(y, np.array([[0.1], [0.8]]))
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, [np.full((2, 1), float(i)) for i in range(4)])
+    ckpt = tmp_path / "m.ckpt"
+    train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(2,))).save(ckpt)
+    out = str(tmp_path / "out")
+    sizes = ["--iterations", "2", "--batch-size", "2", "--width", "2", "--depth", "1"]
+    return {
+        "kernel": ["--x", x, "--y", y, "--t", "0.5"],
+        "posterior": ["--x", x, "--y", y, "--t", "0.5"],
+        "score": ["--x", x, "--y", y, "--t", "0.5"],
+        "forward": ["--x", x, "--steps", "2"],
+        "reverse": ["--init", y, "--ref", x, "--steps", "2"],
+        "train": ["--data", str(data), "--out", out, *sizes],
+        "sample": ["--checkpoint", str(ckpt), "--n", "2", "--steps", "2"],
+        "bench-score": ["--n", "2", "--d", "1", "--k-grid", "2,4", "--replicates", "2"],
+        "bench-gen": ["--kind", "ring", "--items", "6", "--points", "2", *sizes, "--steps", "2",
+                      "--samples", "2", "--reference", "2", "--shuffles", "1"],
+        "make-data": ["--kind", "ring", "--items", "2", "--points", "2", "--out", out],
+    }
+
+
 class TestKernel:
     def test_quotient_exact_two_point_fixture(self, clouds, capsys):
         x, y, _ = clouds
@@ -219,26 +246,50 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [(c, "--cap") for c in ("kernel", "score", "reverse", "bench-score", "forward", "train")]
-        + [(c, f) for c in ("posterior", "score", "reverse") for f in ("--burn-in", "--thinning")],
+        [(c, "--cap")
+         for c in ("kernel", "posterior", "score", "reverse", "bench-score", "forward", "train")]
+        + [(c, f) for c in ("posterior", "score", "reverse") for f in ("--burn-in", "--thinning")]
+        + [(c, f) for c in cli._HANDLERS for f in ("-v", "--verbose")],
     )
-    def test_removed_flag_is_a_usage_error(self, clouds, capsys, command, flag):
-        # The subset DP has no cap below its ceiling, and the swap chain's
-        # burn-in and thinning are fixed, so none of these flags exists.
-        x, y, _ = clouds
-        required = {
-            "kernel": ["--x", x, "--y", y, "--t", "1"],
-            "posterior": ["--x", x, "--y", y, "--t", "1"],
-            "score": ["--x", x, "--y", y, "--t", "1"],
-            "reverse": ["--init", y, "--ref", x, "--steps", "4"],
-            "bench-score": [],
-            "forward": ["--x", x],
-            "train": ["--data", "d.jsonl", "--out", "o.ckpt"],
-        }
-        code, out, err = run_cli(capsys, [command, *required[command], flag, "5"])
+    def test_removed_flag_is_a_usage_error(self, tiny_argv, capsys, command, flag):
+        # Enumeration has the one cap of 9 and the subset DP only its ceiling,
+        # the swap chain's burn-in and thinning are fixed, and nothing logs,
+        # so none of these flags exists.
+        value = [] if flag in ("-v", "--verbose") else ["5"]
+        code, out, err = run_cli(capsys, [command, *tiny_argv[command], flag, *value])
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert flag in err
+
+    def test_float_flag_edge_values_exit_with_one_error_line(self, tiny_argv, capsys):
+        # Every float flag of every subcommand at nan, +-inf, 0 and -1: a
+        # documented exit code, no escaping exception or numpy warning, and
+        # stderr empty on success or one error line.
+        documented = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FILE_NOT_FOUND, cli.EXIT_PARSE,
+                      cli.EXIT_CAPACITY, cli.EXIT_DOMAIN, cli.EXIT_DIVERGED}
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        failures = []
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.type is not float:
+                    continue
+                for value in ("nan", "inf", "-inf", "0", "-1"):
+                    argv = [command, *tiny_argv[command], f"{action.option_strings[0]}={value}"]
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            code, _, err = run_cli(capsys, argv)
+                    except Exception as exc:
+                        failures.append((argv, repr(exc)))
+                        continue
+                    lines = err.splitlines()
+                    if code not in documented or (
+                        lines if code == cli.EXIT_OK
+                        else len(lines) != 1 or not lines[0].startswith("error: ")
+                    ):
+                        failures.append((argv, code, err))
+        assert failures == []
 
     @pytest.mark.parametrize("command", ["posterior", "score"])
     def test_exact_far_points_at_tiny_time_are_a_domain_error(self, capsys, tmp_path, command):
@@ -370,7 +421,7 @@ class TestReadme:
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = {a.dest for a in sub.choices["train"]._actions}
-        assert flags - {"help", "data", "config", "out", "verbose"} == set(settings)
+        assert flags - {"help", "data", "config", "out"} == set(settings)
         assert set(settings) <= {a.dest for a in sub.choices["bench-gen"]._actions}
 
         # Every setting left out, given as a flag or given as a config key at

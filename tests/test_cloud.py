@@ -12,9 +12,9 @@ import pytest
 
 import permdiff
 from permdiff.cloud import (
+    ENUMERATION_CAP,
     Permutation,
     PointCloud,
-    _permutation_table,
     apply,
     canonicalize,
     iter_permutations,
@@ -22,7 +22,7 @@ from permdiff.cloud import (
     orbit_distance,
     permutation_array,
 )
-from permdiff.errors import DomainError, ShapeMismatchError
+from permdiff.errors import CapacityError, DomainError, ShapeMismatchError
 
 
 def brute_force_orbit_distance(x, y):
@@ -185,13 +185,19 @@ class TestEnumeration:
         assert a is permutation_array(4)
         assert not a.flags.writeable
 
+    def test_cap_is_checked_on_every_call(self):
+        # The table cache holds no errors: N = 10 raises each time, before any build.
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="N <= 9"):
+                permutation_array(ENUMERATION_CAP + 1)
+
     def test_first_element_is_identity(self):
         assert tuple(permutation_array(5)[0]) == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_table_is_heaps_order(self, n):
         expected = np.array(list(iter_permutations(n)), dtype=np.intp)
-        table = _permutation_table(n)
+        table = permutation_array(n)
         assert table.dtype == np.intp
         np.testing.assert_array_equal(table, expected)
 

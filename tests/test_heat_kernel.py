@@ -310,6 +310,12 @@ class TestInitialCondition:
         assert errs[-1] < 0.05
         assert errs[-1] < errs[0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_times_must_be_positive_and_finite(self, bad):
+        # A NaN time would give a NaN estimate, and an infinite one a numpy warning.
+        with pytest.raises(DomainError, match="positive and finite"):
+            initial_condition_check(lambda z: 1.0, np.zeros((2, 1)), [bad], m=4, seed=0)
+
     def test_off_orbit_bump_vanishes(self):
         x = np.zeros((2, 1))
         center = np.array([[5.0], [9.0]])

@@ -1,5 +1,6 @@
 """Forward transitions, reverse-time integration, and identity exchanges."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestForwardSample:
         _, p = energy_permutation_test(feats_a, feats_b, n_shuffles=500, seed=4)
         assert p > 0.01
 
+    def test_forward_draws_are_pinned(self):
+        # Digest of forward_sample at times from 1e-300 to 1e300 and of
+        # forward_trajectory on both grids, pinned when each still wrote out
+        # its own transition draw.
+        h = hashlib.sha256()
+        for n, d in [(1, 1), (3, 2), (8, 3)]:
+            x0 = np.random.default_rng(n).standard_normal((n, d))
+            for t in (1e-300, 1e-8, 0.5, 5.0, 1e300):
+                h.update(forward_sample(x0, t, seed=3).points.tobytes())
+            for schedule in (NoiseSchedule.uniform(2.0, 7), NoiseSchedule.geometric(5.0, 9, 1e-3)):
+                for state in forward_trajectory(x0, schedule, seed=4).states:
+                    h.update(state.points.tobytes())
+        assert h.hexdigest() == "bcab58fa314994c458d2093b14ade6c48800b5c5be23ed5ad4be4e81676adcef"
+
 
 class TestTransitionDensity:
     def test_single_point_gaussian(self):
@@ -171,6 +186,14 @@ class TestSchedule:
             NoiseSchedule(np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(DomainError):
             NoiseSchedule(np.array([0.1, 0.5]))
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # An infinite horizon would fill the grid with inf and NaN.
+        with pytest.raises(DomainError, match="horizon < inf"):
+            NoiseSchedule.uniform(horizon, 4)
+        with pytest.raises(DomainError, match="horizon < inf"):
+            NoiseSchedule.geometric(horizon, 4)
 
 
 class TestReverseIntegrate:

@@ -112,9 +112,6 @@ class TestPosteriorExact:
         x = np.zeros((10, 1))
         with pytest.raises(CapacityError):
             posterior_exact(x, x, 1.0)
-        x = np.zeros((8, 1))
-        with pytest.raises(CapacityError):
-            posterior_exact(x, x, 1.0, cap=7)
 
     def test_far_points_at_tiny_time_raise(self):
         # The far point's cost is -inf in every slot: every log weight is

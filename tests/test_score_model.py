@@ -288,6 +288,17 @@ class TestTrain:
         final_mcmc = mcmc_ckpt.holdout_curve[-1][1]
         assert abs(final_mcmc - final_exact) <= 0.2 * max(final_exact, final_mcmc)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [dict(horizon=math.inf), dict(horizon=math.nan), dict(t_min=math.nan),
+         dict(t_min=0.0), dict(t_min=5.0), dict(step_size=math.inf), dict(momentum=math.nan)],
+    )
+    def test_config_rejects_bad_times_and_non_finite_steps(self, setting):
+        # Refused before training: an infinite horizon would make the time
+        # draw overflow, and an infinite step size diverge mid-training.
+        with pytest.raises(DomainError):
+            TrainConfig(**setting)
+
     def test_rejects_mixed_shapes(self):
         with pytest.raises(Exception):
             train([np.zeros((2, 1)), np.zeros((3, 1))], TrainConfig(iterations=1))
