@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+
+import numpy as np
 
 from . import bench, io
 from .cloud import as_points
@@ -79,12 +82,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+_NOT_FINITE = "the result is not finite (inf or NaN), which JSON cannot hold"
+
+
 def _dump(obj) -> str:
     """One JSON line; a non-finite float, which JSON cannot hold, is a DomainError."""
     try:
         return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise DomainError("the result is not finite (inf or NaN), which JSON cannot hold") from exc
+        raise DomainError(_NOT_FINITE) from exc
 
 
 def _load_cloud(path, elements):
@@ -123,8 +129,12 @@ def cmd_posterior(args) -> int:
         dist = posterior_exact(x, y, args.t)
     else:
         dist, diag = mcmc_sample(x, y, args.t, McmcConfig(seed=args.seed, **_given(args, "k")))
-    rows = zip(dist.support.tolist(), dist.log_weights.tolist())
-    _emit(args, "".join(_dump({"perm": row, "log_weight": lw}) for row, lw in rows))
+    log_weights = dist.log_weights.tolist()
+    if not all(map(math.isfinite, log_weights)):
+        raise DomainError(_NOT_FINITE)
+    # _dump's line, keys sorted, written by hand: json.dumps per row is slow.
+    rows = zip(dist.support.tolist(), log_weights)
+    _emit(args, "".join(f'{{"log_weight": {lw!r}, "perm": {row}}}\n' for row, lw in rows))
     if args.diagnostics:
         with open(args.diagnostics, "w") as fh:
             fh.write(_dump(asdict(diag)))
@@ -174,8 +184,14 @@ def cmd_reverse(args) -> int:
         if args.score_source == "exact":
             score_fn = lambda y, t: ou_conditional_score_exact(ref, y, t)
         else:
-            cfg = McmcConfig(seed=args.seed, **_given(args, "k"))
-            score_fn = lambda y, t: ou_conditional_score_mcmc(ref, y, t, cfg)
+            cfg = McmcConfig(**_given(args, "k"))
+            # Each step's chains get the next seed of a child of --seed; the
+            # integrator's noise comes from --seed itself.
+            child = np.random.SeedSequence(args.seed).spawn(1)[0]
+            seeds = iter(child.generate_state(schedule.steps, np.uint64).tolist())
+            score_fn = lambda y, t: ou_conditional_score_mcmc(
+                ref, y, t, replace(cfg, seed=next(seeds))
+            )
     else:
         if not args.checkpoint:
             raise DomainError("--checkpoint is required for the model score source")

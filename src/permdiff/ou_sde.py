@@ -30,6 +30,11 @@ from .heat_kernel import _check_time, _log_kernels, _logsumexp
 # scale 1/(2t) is singular at t = 0.
 REVERSE_T_MIN = 1e-4
 
+# Steps of noise each generator draws per call in the reverse loop. A
+# generator's draws do not depend on how they are blocked, so the block size
+# changes no output, only the number of generator calls.
+_NOISE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class OuTransition:
@@ -171,35 +176,44 @@ def _reverse_steps(
     time. Runs from T down to 0 and yields the state after each step. The
     drift bracket is multiplied by the negative step dt = t_{k-1} - t_k, so
     one update reads y <- y + (y/2 + score) * |dt| + sqrt(|dt|) * noise,
-    where cloud b draws one (N, d) standard normal per step from
-    ``rngs[b]``. Score evaluation times are clamped below at
-    ``REVERSE_T_MIN``; a score that raises, has the wrong shape or is not
-    finite raises ScoreCallbackError naming the step and time.
+    where cloud b's noise is the next (N, d) standard normal of ``rngs[b]``.
+    Each generator draws the noise of up to ``_NOISE_BLOCK`` steps in one
+    call, which gives the same stream as one draw per step. Score
+    evaluation times are clamped below at ``REVERSE_T_MIN``. Each step runs
+    with numpy's overflow and invalid-value warnings off: a score that
+    raises, has the wrong shape or is not finite raises ScoreCallbackError,
+    and a state that is not finite raises DomainError, each naming the step
+    and time.
     """
     grid = schedule.grid
     for k in range(schedule.steps, 0, -1):
         dt = float(grid[k - 1] - grid[k])
         t_eval = max(float(grid[k]), REVERSE_T_MIN)
         step = schedule.steps - k
-        try:
-            score = np.asarray(score_fn(y, t_eval), dtype=float)
-        except Exception as exc:
-            raise ScoreCallbackError(
-                f"score callback failed at step {step}, t={t_eval}: {exc}"
-            ) from exc
-        if score.shape != y.shape:
-            raise ScoreCallbackError(
-                f"score shape {score.shape} does not match state shape {y.shape}"
-                f" at step {step}, t={t_eval}"
-            )
-        if not np.isfinite(score).all():
-            raise ScoreCallbackError(
-                f"score callback returned non-finite values at step {step}, t={t_eval}"
-            )
-        noise = np.empty_like(y)
-        for rng, out in zip(rngs, noise):
-            rng.standard_normal(out=out)
-        y = y + (-0.5 * y - score) * dt + math.sqrt(-dt) * noise
+        if step % _NOISE_BLOCK == 0:
+            size = (min(_NOISE_BLOCK, k), *y.shape[1:])
+            noise = np.stack([rng.standard_normal(size) for rng in rngs], axis=1)
+        # A huge state or step may overflow: no warning, the score and the new
+        # state are checked instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                score = np.asarray(score_fn(y, t_eval), dtype=float)
+            except Exception as exc:
+                raise ScoreCallbackError(
+                    f"score callback failed at step {step}, t={t_eval}: {exc}"
+                ) from exc
+            if score.shape != y.shape:
+                raise ScoreCallbackError(
+                    f"score shape {score.shape} does not match state shape {y.shape}"
+                    f" at step {step}, t={t_eval}"
+                )
+            if not np.isfinite(score).all():
+                raise ScoreCallbackError(
+                    f"score callback returned non-finite values at step {step}, t={t_eval}"
+                )
+            y = y + (-0.5 * y - score) * dt + math.sqrt(-dt) * noise[step % _NOISE_BLOCK]
+        if not np.isfinite(y).all():
+            raise DomainError(f"the state is not finite after step {step}, t={t_eval}")
         yield y
 
 

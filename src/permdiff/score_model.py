@@ -131,19 +131,22 @@ class EquivariantNet:
             raise ShapeMismatchError(
                 f"net expects point dimension {self.point_dim}, got {pd}"
             )
-        sorted_clouds = clouds + 0.0  # -0.0 + 0.0 is +0.0
-        order = np.lexsort(np.moveaxis(sorted_clouds, 2, 0))
-        sorted_clouds = np.take_along_axis(sorted_clouds, order[:, :, None], axis=1)
+        zeroed = clouds + 0.0  # -0.0 + 0.0 is +0.0
+        # Gathers index the flat (B·N, ·) rows: row i of cloud c is c·N + i.
+        offsets = (np.arange(b) * n)[:, None]
+        order = np.lexsort(zeroed.transpose(2, 0, 1))
+        rows = order + offsets
+        feats = time_features(ts)
+        h = np.empty((b, n, pd + N_TIME_FEATURES))
+        h[:, :, :pd] = zeroed.reshape(b * n, pd)[rows]
+        h[:, :, pd:] = feats[:, None, :]
+        sorted_clouds = h[:, :, :pd]
         new_run = np.ones((b, n), dtype=bool)
         new_run[:, 1:] = (sorted_clouds[:, 1:] != sorted_clouds[:, :-1]).any(axis=2)
         run_first = np.maximum.accumulate(np.where(new_run, np.arange(n), 0), axis=1)
-        source = np.empty_like(order)
-        np.put_along_axis(source, order, run_first, axis=1)
+        source = np.empty_like(rows)
+        source[np.arange(b)[:, None], order] = run_first + offsets
 
-        feats = time_features(ts)
-        h = np.concatenate(
-            [sorted_clouds, np.broadcast_to(feats[:, None, :], (b, n, N_TIME_FEATURES))], axis=2
-        )
         cache = []
         n_layers = len(self.layers)
         for li, (w_self, w_ctx, bias) in enumerate(self.layers):
@@ -155,7 +158,7 @@ class EquivariantNet:
             h = out
         if self.output_scale == "noise":
             h = h / feats[:, None, 2:]
-        return np.take_along_axis(h, source[:, :, None], axis=1), (order, feats, cache)
+        return h.reshape(b * n, pd)[source], (rows, feats, cache)
 
     def _backward(self, state, grad_out: np.ndarray) -> np.ndarray:
         """Flat parameter gradient of sum(grad_out * output) over a cached pass.
@@ -166,11 +169,11 @@ class EquivariantNet:
         gradient up to rounding, because the points of a run have equal
         inputs.
         """
-        order, feats, cache = state
-        g = np.take_along_axis(np.asarray(grad_out, dtype=float), order[:, :, None], axis=1)
+        rows, feats, cache = state
+        b, n = rows.shape
+        g = np.asarray(grad_out, dtype=float).reshape(b * n, self.point_dim)[rows]
         if self.output_scale == "noise":
             g = g / feats[:, None, 2:]
-        b, n, _ = g.shape
         grads: list[list[np.ndarray]] = [[] for _ in self.layers]
         n_layers = len(self.layers)
         for li in range(n_layers - 1, -1, -1):

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -18,6 +19,7 @@ from permdiff import bench, cli
 from permdiff.errors import ParseError
 from permdiff.io import write_cloud_text, write_dataset
 from permdiff.ou_sde import NoiseSchedule
+from permdiff.quotient_score import ou_conditional_score_mcmc
 from permdiff.score_model import TrainConfig, train
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -439,7 +441,69 @@ class TestReadme:
                 cli._train_config(parser.parse_args(base + ["--config", str(cfg_file)]))
 
 
+@pytest.fixture(scope="module")
+def ring_files(tmp_path_factory):
+    """A model trained a few steps on a 6-item ring, and two 3-point clouds."""
+    tmp = tmp_path_factory.mktemp("ring")
+    data = bench.make_synthetic_dataset("ring", 6, 3, 2, 0)
+    ckpt = tmp / "m.ckpt"
+    train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,))).save(ckpt)
+    x, y = tmp / "x.txt", tmp / "y.txt"
+    write_cloud_text(x, np.random.default_rng(1).standard_normal((3, 2)))
+    write_cloud_text(y, np.random.default_rng(0).standard_normal((3, 2)))
+    return {"ckpt": str(ckpt), "x": str(x), "y": str(y)}
+
+
+class TestHugeHorizon:
+    @pytest.mark.parametrize("grid", ["uniform", "geometric"])
+    @pytest.mark.parametrize("horizon", ["1e200", "1e300", "1e308"])
+    @pytest.mark.parametrize("source", ["sample", "exact", "mcmc", "model"])
+    def test_overflow_gives_one_error_line_and_no_warning(
+        self, ring_files, capsys, source, horizon, grid
+    ):
+        # The state overflows within two steps. Warnings are recorded, not
+        # raised, so one raised inside a score callback cannot pass as its error.
+        if source == "sample":
+            argv = ["sample", "--checkpoint", ring_files["ckpt"], "--n", "2"]
+        else:
+            argv = ["reverse", "--init", ring_files["y"], "--ref", ring_files["x"],
+                    "--checkpoint", ring_files["ckpt"], "--score-source", source]
+        argv += ["--horizon", horizon, "--grid", grid, "--steps", "8"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestPosterior:
+    def test_exact_stdout_is_pinned_at_n8(self, tmp_path, capsys):
+        # sha256 of the stdout written by one json.dumps per row.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 2))
+        write_cloud_text(tmp_path / "x.txt", x)
+        y = x[rng.permutation(8)] + 0.3 * rng.standard_normal((8, 2))
+        write_cloud_text(tmp_path / "y.txt", y)
+        code, out, _ = run_cli(capsys, ["posterior", "--x", str(tmp_path / "x.txt"),
+                                        "--y", str(tmp_path / "y.txt"), "--t", "0.7"])
+        assert code == 0 and len(out.splitlines()) == 40320
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "93f41b81e8104261ab4766d247f49c5e4ce6ca36db9cd7bc935b23ec042665c2"
+        )
+
+    def test_exact_row_of_zero_weight_is_a_domain_error(self, tmp_path, capsys):
+        # The swap's cost overflows, so its log weight is -inf, which JSON
+        # cannot hold; the identity's weight is finite.
+        x = tmp_path / "x.txt"
+        write_cloud_text(x, np.array([[0.0], [1e5]]))
+        argv = ["posterior", "--x", str(x), "--y", str(x), "--t", "1e-300"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: category=domain: " + cli._NOT_FINITE + "\n"
+
     def test_exact_records_and_weights(self, clouds, capsys):
         x, y, _ = clouds
         code, out, _ = run_cli(capsys, ["posterior", "--x", x, "--y", y, "--t", "0.5"])
@@ -521,6 +585,25 @@ class TestTrajectories:
         records = validate_lines(out, "trajectory-record.json")
         assert len(records) == 9
         assert records[0]["t"] == 1.0 and records[-1]["t"] == 0.0
+
+    def test_reverse_mcmc_seeds_each_step_apart(self, clouds, capsys, monkeypatch):
+        x, y, tmp = clouds
+        seeds = []
+
+        def recording(ref, state, t, cfg):
+            seeds.append(cfg.seed)
+            return ou_conditional_score_mcmc(ref, state, t, cfg)
+
+        monkeypatch.setattr(cli, "ou_conditional_score_mcmc", recording)
+        outs = []
+        for name in ("a.jsonl", "b.jsonl"):
+            argv = ["reverse", "--init", y, "--ref", x, "--score-source", "mcmc", "--k", "8",
+                    "--horizon", "1.0", "--steps", "6", "--seed", "3", "--out", str(tmp / name)]
+            assert run_cli(capsys, argv)[0] == 0
+            outs.append((tmp / name).read_bytes())
+        assert len(set(seeds[:6])) == 6 and 3 not in seeds
+        assert seeds[6:] == seeds[:6]
+        assert outs[0] == outs[1]
 
     def test_reverse_requires_ref_for_exact(self, clouds, capsys):
         _, y, _ = clouds

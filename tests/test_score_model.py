@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permdiff.bench import make_synthetic_dataset
-from permdiff.cloud import Permutation, apply
+from permdiff.cloud import Permutation, PointCloud, apply, canonicalize
 from permdiff.errors import CapacityError, DomainError, TrainingDiverged
 from permdiff.heat_kernel import DP_CEILING
-from permdiff.ou_sde import NoiseSchedule, ou_transition, reverse_integrate
+from permdiff.ou_sde import REVERSE_T_MIN, NoiseSchedule, ou_transition, reverse_integrate
 from permdiff.perm_mcmc import McmcConfig
 from permdiff.quotient_score import ou_conditional_score_exact, ou_conditional_score_mcmc
 from permdiff.score_model import (
@@ -131,6 +131,49 @@ class TestBitwiseEquivariance:
         np.testing.assert_array_equal(
             bits(net.backprop(y[:, p], ts, g[:, p])), bits(net.backprop(y, ts, g))
         )
+
+
+# sha256 of forward outputs and backward gradients per (B, N), computed with
+# the network as it stood before its gathers were written as flat indexing.
+PASS_DIGESTS = {
+    (1, 1): "69bb04a7a29ea1d0efa5418d569aac63e152b9e3573c2c3c0f6ad56dcb25ace4",
+    (1, 3): "2cca25e2e9a46c9dbddb9ae46a18d87257d7b414a62fed3415b29ae3cca1da4c",
+    (1, 7): "49496152630b496b4ea22b4c3decf26caf951adb29ac7d81b0ad9cf83b7a4c51",
+    (5, 1): "842e882d0eeda40136dfea77ee2cbaca4ba40e74373412a16de63c8d6ad46a9d",
+    (5, 3): "a7e226814c5eb3fd43fc92c60187832f10b0f4d9e044fd3faf850c2fa24a35aa",
+    (5, 7): "59402b239abb4dd143ffd727ae7a40f45f64c988a9e4d54e25d8775e6be876b3",
+    (64, 1): "e9c7d5914016140b7b74375bf425f3cba5a5f1577da03deecdd5170eb978b7c8",
+    (64, 3): "7d3126834207ad06d57f90c4668ad2d21772a096dff60c139c01deb8fac0526b",
+    (64, 7): "b8c26dac0608e9e2bb005bc606f55b49e8ad3f3b07773fbc4acbf4099ba37383",
+}
+
+
+def pass_digest(b, n):
+    """Digest of both passes over d = 1..3 and both output scales.
+
+    Clouds repeat points and hold zeros of either sign.
+    """
+    h = hashlib.sha256()
+    for d in (1, 2, 3):
+        for scale in ("none", "noise"):
+            rng = np.random.default_rng([b, n, d])
+            net = EquivariantNet(d, (16, 16), seed=d, output_scale=scale)
+            net.set_flat(0.3 * rng.standard_normal(net.n_params))
+            y = rng.standard_normal((b, n, d))[:, rng.integers(0, n, size=n)]
+            zero = rng.random((b, n, d)) < 0.3
+            y[zero] = 0.0
+            y = np.where(zero & (rng.random((b, n, d)) < 0.5), -0.0, y)
+            ts = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), size=b))
+            out, state = net._forward(y, ts)
+            grad = net._backward(state, rng.standard_normal((b, n, d)))
+            h.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(grad, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("b, n", sorted(PASS_DIGESTS))
+def test_forward_and_backward_are_pinned(b, n):
+    assert pass_digest(b, n) == PASS_DIGESTS[b, n]
 
 
 class TestBackprop:
@@ -500,3 +543,53 @@ class TestBatchedSampling:
         np.testing.assert_allclose(below, fn(ys, t_floor) * expected_scale, rtol=1e-12)
         for y, row in zip(ys, below):
             np.testing.assert_allclose(row, fn(y, t_floor / 10.0), rtol=0, atol=1e-12)
+
+
+class TestNoiseBlocks:
+    """Noise drawn in blocks of steps gives each cloud the stream of one draw per step."""
+
+    # sha256 of sample_from_model's clouds, computed when each cloud drew one
+    # (N, d) normal per step. 64 steps fill one block; 65 and 200 cross a
+    # block boundary. A geometric grid needs two steps, so one step is uniform.
+    DIGESTS = {
+        1: "66c42580edc8972518aa007319186b2a66e652bf3a3781b791e62ecb62f71d59",
+        64: "998bca6063a5363209c65a60081470c7b5aaddee9c2f0b925e6061b9845d2c56",
+        65: "fe754999d0547be4756ffaf5c446c913cb066cdff33cf7f8fb96af6783c21901",
+        200: "4aaf4bccda873785490a79c11c4f09043537c7654ce29b9d99eb3099ffd54391",
+    }
+
+    @pytest.fixture(scope="class")
+    def ckpt(self):
+        rng = np.random.default_rng(52)
+        data = [rng.standard_normal((3, 2)) for _ in range(6)]
+        return train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,), seed=53))
+
+    @staticmethod
+    def schedule(steps):
+        if steps == 1:
+            return NoiseSchedule.uniform(1.0, 1)
+        return NoiseSchedule.geometric(1.0, steps, 1e-3)
+
+    @staticmethod
+    def per_step_draws(ckpt, n_samples, sched, seed):
+        # The reverse loop with one (N, d) draw per cloud per step.
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_samples)]
+        y = np.stack([rng.standard_normal((ckpt.n_points, ckpt.point_dim)) for rng in rngs])
+        score_fn = checkpoint_score_fn(ckpt)
+        grid = sched.grid
+        for k in range(sched.steps, 0, -1):
+            dt = float(grid[k - 1] - grid[k])
+            score = score_fn(y, max(float(grid[k]), REVERSE_T_MIN))
+            noise = np.stack([rng.standard_normal(y.shape[1:]) for rng in rngs])
+            y = y + (-0.5 * y - score) * dt + math.sqrt(-dt) * noise
+        return [canonicalize(PointCloud(cloud)) for cloud in y]
+
+    @pytest.mark.parametrize("steps", sorted(DIGESTS))
+    def test_samples_are_pinned_and_match_per_step_draws(self, ckpt, steps):
+        sched = self.schedule(steps)
+        samples = sample_from_model(ckpt, 3, sched, seed=54)
+        stacked = np.stack([q.points for q in samples]).astype("<f8")
+        assert hashlib.sha256(stacked.tobytes()).hexdigest() == self.DIGESTS[steps]
+        reference = self.per_step_draws(ckpt, 3, sched, seed=54)
+        for q, ref in zip(samples, reference):
+            assert q.points.tobytes() == ref.points.tobytes()
