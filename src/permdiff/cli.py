@@ -206,10 +206,20 @@ def cmd_reverse(args) -> int:
     return EXIT_OK
 
 
+def seed_int(text: str) -> int:
+    """argparse type of a seed: numpy's generators take only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be a non-negative integer, got {value}")
+    return value
+
+
 # The train settings, each one flag and one config-file key, with TrainConfig's
-# defaults: widths as width x depth. A default's type parses its flag and key.
+# defaults: widths as width x depth. A default's type parses its flag and key,
+# except the seed's.
 _TRAIN_DEFAULTS = {key: val for key, val in asdict(TrainConfig()).items() if key != "widths"}
 _TRAIN_DEFAULTS.update(width=TrainConfig.widths[0], depth=len(TrainConfig.widths))
+_TRAIN_TYPES = {key: seed_int if key == "seed" else type(val) for key, val in _TRAIN_DEFAULTS.items()}
 
 
 def _read_config_file(path) -> dict:
@@ -230,8 +240,8 @@ def _read_config_file(path) -> dict:
         if key not in _TRAIN_DEFAULTS:
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = type(_TRAIN_DEFAULTS[key])(val.strip())
-        except ValueError as exc:
+            values[key] = _TRAIN_TYPES[key](val.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ParseError(f"{path}:{lineno}: bad value for {key!r}") from exc
     return values
 
@@ -326,7 +336,7 @@ def _add_cloud_pair(p):
 
 
 _SHARED_FLAGS = {
-    "seed": dict(type=int, default=0, help="RNG seed for all randomness"),
+    "seed": dict(type=seed_int, default=0, help="RNG seed for all randomness"),
     "k": dict(type=int, default=argparse.SUPPRESS, help="retained MCMC samples"),
     "elements": dict(help="comma-separated element table for .xyz input"),
 }
@@ -373,7 +383,7 @@ def _add_train_flags(p, skip=()):
     for key, default in _TRAIN_DEFAULTS.items():
         if key not in skip:
             p.add_argument(
-                "--" + key.replace("_", "-"), type=type(default), choices=TRAIN_CHOICES.get(key),
+                "--" + key.replace("_", "-"), type=_TRAIN_TYPES[key], choices=TRAIN_CHOICES.get(key),
                 default=argparse.SUPPRESS, help=f"default {default}",
             )
 

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import CapacityError, DomainError, ShapeMismatchError
 
 # Largest N where all N! permutations are enumerated (the exact posterior,
-# the per-permutation kernel terms, the ELBO): 9! = 362880 terms
-# keeps a single enumeration around a second. The subset DP behind the exact
-# kernels and scores is limited only by heat_kernel.DP_CEILING.
+# the ELBO): 9! = 362880 terms keeps a single enumeration around a second.
+# The subset DP behind the exact kernels and scores is limited only by
+# heat_kernel.DP_CEILING.
 ENUMERATION_CAP = 9
 
 
@@ -89,12 +89,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        m = list(range(n))
-        m[a], m[b] = m[b], m[a]
-        return cls(tuple(m))
-
     @property
     def n(self) -> int:
         return len(self.mapping)
@@ -107,12 +101,6 @@ class Permutation:
         for i, v in enumerate(self.mapping):
             inv[v] = i
         return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self o other, acting as other first: i -> self(other(i))."""
-        if self.n != other.n:
-            raise ShapeMismatchError("cannot compose permutations of different size")
-        return Permutation(tuple(self.mapping[v] for v in other.mapping))
 
 
 def apply(sigma: Permutation, cloud) -> PointCloud:
@@ -135,9 +123,13 @@ def canonicalize(cloud) -> PointCloud:
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distances D[..., i, j] = ||x_i - y_j||^2, broadcast over leading axes."""
-    diff = x[..., :, None, :] - y[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+    """Squared distances D[..., i, j] = ||x_i - y_j||^2, broadcast over leading axes.
+
+    A distance beyond the largest float is inf, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        diff = x[..., :, None, :] - y[..., None, :, :]
+        return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 def orbit_distance(x, y) -> float:

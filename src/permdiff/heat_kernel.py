@@ -14,10 +14,10 @@ Two exact cores serve every sum over S_N:
   N <= ``DP_CEILING``.
 - ``_perm_sums`` and ``_assignment_marginals`` enumerate all N! permutations.
   They stay where a weight is needed for every permutation or a set of
-  sampled permutations is given: the per-permutation kernel terms, the
-  exact posterior, the ELBO and the swap chain's sample sets. The sums
-  follow the runs of Heap's order and are still added left to right.
-  Enumeration stops at N = ``ENUMERATION_CAP`` (9).
+  sampled permutations is given: the exact posterior, the ELBO and the
+  swap chain's sample sets. The sums follow the runs of Heap's order and
+  are still added left to right. Enumeration stops at N = ``ENUMERATION_CAP``
+  (9).
 
 The kernels here, the posterior, the scores and the training targets share
 the checked pair (``_checked_pair``), the log affinities -||x_i - y_j||^2 / (4t)
@@ -294,18 +294,6 @@ def euclid_log_heat_kernel(x, y, t: float) -> float:
     n, d = px.shape
     sq = float(((px - py) ** 2).sum())
     return -(d * n / 2.0) * _log_4pi_t(t) - sq / (4.0 * t)
-
-
-def quotient_log_kernel_terms(x, y, t: float) -> np.ndarray:
-    """Per-permutation log summands, one per element of S_N in Heap's order.
-
-    The term count is exactly N!; tests assert this to guard double counting.
-    Raises CapacityError above ``ENUMERATION_CAP``.
-    """
-    px, py, t = _checked_pair(x, y, t)
-    n, d = px.shape
-    terms = _perm_sums(_log_affinities(pairwise_sq_dists(px, py), t))
-    return -(d * n / 2.0) * _log_4pi_t(t) + terms
 
 
 def quotient_log_heat_kernel_exact(x, y, t: float) -> float:

@@ -36,10 +36,6 @@ from .heat_kernel import (
     _perm_sums,
 )
 
-EXACT = "exact"
-EMPIRICAL = "empirical"
-
-
 def cost_matrix(x, y, t: float) -> np.ndarray:
     """Read-only log-affinities C[i, j] = -||x_i - y_j||^2 / (4t), all <= 0."""
     px, py, t = _checked_pair(x, y, t)
@@ -65,21 +61,17 @@ class PermDistribution:
     """A distribution over S_N: exact (all N!, normalized) or empirical samples.
 
     ``support[k, j]`` is the point index matched to slot j under the k-th
-    permutation; ``log_weights`` are normalized log probabilities (exact mode)
-    or the uniform -log K over retained samples (empirical mode).
+    permutation; ``log_weights`` are normalized log probabilities (the
+    canonical enumeration of S_N) or the uniform -log K over retained
+    samples.
     """
 
     support: np.ndarray
     log_weights: np.ndarray
-    mode: str
 
     def __post_init__(self):
         self.support.setflags(write=False)
         self.log_weights.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.support.shape[1]
 
     def __len__(self) -> int:
         return self.support.shape[0]
@@ -109,7 +101,7 @@ def exact_from_log_weights(n: int, raw_log_weights: np.ndarray) -> PermDistribut
     log_z = _logsumexp(lw)
     _check_finite_weight(log_z == -math.inf)
     lw = lw - log_z
-    return PermDistribution(permutation_array(n), lw, EXACT)
+    return PermDistribution(permutation_array(n), lw)
 
 
 def posterior_exact(x, y, t: float) -> PermDistribution:
@@ -168,7 +160,8 @@ def _swap_chain(
     array), draws its uniforms from ``default_rng(seed)``, makes
     burn_in + thinning * k steps and keeps every thinning-th state after
     the burn-in. Returns the retained states (k, N) and the accepted step
-    count.
+    count. Every cost row must hold a finite entry, as it does for every
+    pair that ``mcmc_sample`` accepts.
 
     The tables are built once: cumulative row probabilities for the slot
     draw, and the negated log probabilities and their exponentials (inverse
@@ -179,13 +172,9 @@ def _swap_chain(
     only the lookups that depend on the state.
     """
     n = entries.shape[0]
-    with np.errstate(invalid="ignore"):  # an all -inf row gives NaN, handled below
-        row_log_probs = entries - _logsumexp(entries, axis=1)[:, None]
+    row_log_probs = entries - _logsumexp(entries, axis=1)[:, None]
     cum = np.cumsum(np.exp(row_log_probs), axis=1)
     cum[:, -1] = 1.0
-    # A row whose entries are all -inf has NaN probabilities; bisect_right
-    # steps over NaN, which a count of the entries <= u1 matches with -inf.
-    cum[np.isnan(cum)] = -math.inf
     with np.errstate(over="ignore"):
         inv_all = np.exp(-row_log_probs)
     total = burn_in + thinning * k
@@ -410,7 +399,7 @@ def mcmc_sample(x, y, t: float, cfg: McmcConfig) -> tuple[PermDistribution, Mcmc
     )
     support, accepted = _swap_chain(entries, start, cfg.seed, burn_in, thinning, k)
     total = burn_in + thinning * k
-    dist = PermDistribution(support, np.full(k, -math.log(k)), EMPIRICAL)
+    dist = PermDistribution(support, np.full(k, -math.log(k)))
     diag = McmcDiagnostics(
         acceptance_rate=accepted / total,
         proposal_count=total,

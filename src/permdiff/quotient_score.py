@@ -35,7 +35,7 @@ from .heat_kernel import (
     _subset_dp,
 )
 from .ou_sde import ou_coefficients
-from .perm_mcmc import EXACT, McmcConfig, PermDistribution, _block_gibbs, cost_matrix, mcmc_sample
+from .perm_mcmc import McmcConfig, PermDistribution, _block_gibbs, cost_matrix, mcmc_sample
 
 
 def per_perm_score(sigma: Permutation, x, y, t: float) -> np.ndarray:
@@ -187,12 +187,10 @@ def elbo(r: PermDistribution, x, y, t: float) -> ElboReport:
 
     elbo(r) = E_r[I(sigma)] + H(r); the gap to log sum_sigma exp(I(sigma))
     is exactly KL(r || q). Shared additive constants (Gaussian prefactor,
-    uniform prior) are dropped on both sides. ``r`` must be exact-mode with
-    weights over the full canonical enumeration of S_N; empirical sample
-    sets carry no density, so their entropy is undefined.
+    uniform prior) are dropped on both sides. ``r`` must carry weights over
+    the full canonical enumeration of S_N; sample sets carry no density, so
+    their entropy is undefined.
     """
-    if r.mode != EXACT:
-        raise DomainError("elbo requires an exact-mode distribution over all of S_N")
     entries = cost_matrix(x, y, t)
     perms = permutation_array(entries.shape[0])
     if r.support.shape != perms.shape or not np.array_equal(r.support, perms):

@@ -453,9 +453,10 @@ def _frozen_eval_set(clouds: list[np.ndarray], cfg: TrainConfig, rng) -> tuple:
 
 def _eval_loss(net: EquivariantNet, eval_set, weighting: str) -> float:
     ys, ts, targets = eval_set
-    out = net.forward(ys, ts)
-    per = ((out - targets) ** 2).sum(axis=(1, 2))
-    return float((_loss_weights(weighting, ts) * per).mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters; train checks the loss
+        out = net.forward(ys, ts)
+        per = ((out - targets) ** 2).sum(axis=(1, 2))
+        return float((_loss_weights(weighting, ts) * per).mean())
 
 
 def train(dataset, cfg: TrainConfig) -> Checkpoint:
@@ -463,9 +464,10 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
 
     The step is ``cfg.step_size * _step_scale(it, cfg.iterations)``: linear
     warmup, then cosine decay to zero (see the module docstring). A
-    non-finite loss or one above ``DIVERGENCE_THRESHOLD`` raises
-    TrainingDiverged. Exact targets come from the subset DP: exact mode
-    above ``DP_CEILING`` points raises CapacityError before any work.
+    non-finite loss or one above ``DIVERGENCE_THRESHOLD``, or a non-finite
+    held-out loss, raises TrainingDiverged. Exact targets come from the
+    subset DP: exact mode above ``DP_CEILING`` points raises CapacityError
+    before any work.
     """
     clouds = [as_points(c) for c in dataset]
     if not clouds:
@@ -505,25 +507,32 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
         ts = _sample_times(rng, cfg.batch_size, cfg.t_min, cfg.horizon)
         yb = _noised(rng, xb, ts)
         targets = _targets(xb, yb, ts, mcmc_k, rng)
-        loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
-        if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
-            raise TrainingDiverged(
-                f"loss {loss} at iteration {it} exceeded {DIVERGENCE_THRESHOLD}"
-            )
-        step = cfg.step_size * _step_scale(it, cfg.iterations)
-        if cfg.optimizer == "adam":
-            adam_m = 0.9 * adam_m + 0.1 * grad
-            adam_v = 0.999 * adam_v + 0.001 * grad * grad
-            m_hat = adam_m / (1.0 - 0.9**it)
-            v_hat = adam_v / (1.0 - 0.999**it)
-            flat = flat - step * m_hat / (np.sqrt(v_hat) + 1e-8)
-        else:
-            velocity = cfg.momentum * velocity - step * grad
-            flat = flat + velocity
+        # A huge step or momentum overflows: no warning. Non-finite
+        # parameters give a non-finite loss at the next iteration, or
+        # held-out loss at the last one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = _weighted_loss_grad(net, yb, ts, targets, cfg.weighting)
+            if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
+                raise TrainingDiverged(
+                    f"loss {loss} at iteration {it} exceeded {DIVERGENCE_THRESHOLD}"
+                )
+            step = cfg.step_size * _step_scale(it, cfg.iterations)
+            if cfg.optimizer == "adam":
+                adam_m = 0.9 * adam_m + 0.1 * grad
+                adam_v = 0.999 * adam_v + 0.001 * grad * grad
+                m_hat = adam_m / (1.0 - 0.9**it)
+                v_hat = adam_v / (1.0 - 0.999**it)
+                flat = flat - step * m_hat / (np.sqrt(v_hat) + 1e-8)
+            else:
+                velocity = cfg.momentum * velocity - step * grad
+                flat = flat + velocity
         net.set_flat(flat)
         train_curve.append((it, loss))
         if it % cfg.eval_every == 0 or it == cfg.iterations:
-            holdout_curve.append((it, _eval_loss(net, eval_set, cfg.weighting)))
+            held = _eval_loss(net, eval_set, cfg.weighting)
+            if not math.isfinite(held):
+                raise TrainingDiverged(f"held-out loss {held} at iteration {it}")
+            holdout_curve.append((it, held))
 
     return Checkpoint(
         params=net.get_flat(),

@@ -14,11 +14,14 @@ from permdiff.bench import (
     energy_permutation_test,
     make_synthetic_dataset,
     run_estimator_study,
+    run_toy_generation,
     sorted_coordinates,
     sorted_pairwise_distances,
 )
 from permdiff.cloud import Permutation, apply, canonicalize
 from permdiff.errors import DomainError
+from permdiff.ou_sde import NoiseSchedule
+from permdiff.score_model import TrainConfig
 
 
 class TestFeatures:
@@ -138,8 +141,8 @@ class TestEstimatorStudy:
         assert -0.75 < study.slope < -0.25
 
     def test_concentrated_regime_tiny_error_at_k1(self):
-        # well-separated points at small t: the posterior is a point mass
-        study = run_estimator_study(t=1e-3, k_grid=(1, 2), replicates=10, seed=2, scale=4.0)
+        # at t = 1e-4 the posterior of this instance is a point mass
+        study = run_estimator_study(t=1e-4, k_grid=(1, 2), replicates=10, seed=2)
         assert study.mean_errors[0] < 1e-8
 
     def test_error_floor_well_above_oracle_tolerance(self):
@@ -162,3 +165,25 @@ class TestEstimatorStudy:
     def test_validates_grid(self):
         with pytest.raises(DomainError):
             run_estimator_study(k_grid=(8, 8), replicates=5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: energy_permutation_test(np.zeros((1, 2)), np.ones((3, 2))), "two feature rows"),
+        (lambda: energy_permutation_test(np.zeros((3, 2)), np.ones((3, 2)), n_shuffles=0),
+         "one shuffle"),
+        (lambda: energy_permutation_test(np.array([[0.0], [1.0]]), np.array([[1e308], [-1e308]])),
+         "overflow"),
+        (lambda: make_synthetic_dataset("ring", 0, 3, 2, seed=0), "must all be >= 1"),
+        (lambda: run_estimator_study(replicates=1), "two replicates"),
+        (lambda: run_toy_generation(
+            make_synthetic_dataset("ring", 4, 3, 2, seed=0), TrainConfig(iterations=0),
+            NoiseSchedule.uniform(1.0, 2)), "dataset too small"),
+    ],
+    ids=["energy-one-row", "energy-no-shuffles", "energy-overflow", "dataset-no-items",
+         "study-one-replicate", "toy-generation-small-dataset"],
+)
+def test_refuses_bad_input(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -155,6 +155,42 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert "category=parse" in err
 
+    @pytest.mark.parametrize(
+        "name, content, match",
+        [
+            ("c.txt", "two 1\n0.0\n1.0\n", "bad header"),
+            ("m.xyz", "1\n", "truncated XYZ"),
+            ("m.xyz", "one\nx\nH 0 0 0\n", "atom count"),
+            ("m.xyz", "2\nx\nH 0 0 0\n", "expected 2 atom lines"),
+            ("m.xyz", "1\nx\nH 0 0\n", "bad atom line"),
+            ("m.xyz", "1\nx\nH 0 zero 0\n", "non-numeric coordinate"),
+        ],
+        ids=["text-header", "xyz-truncated", "xyz-count", "xyz-missing-atoms", "xyz-short-line",
+             "xyz-coordinate"],
+    )
+    def test_bad_cloud_file_is_a_parse_error(self, capsys, tmp_path, name, content, match):
+        bad = tmp_path / name
+        bad.write_text(content)
+        argv = ["kernel", "--x", str(bad), "--y", str(bad), "--t", "1", "--elements", "H"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: category=parse") and match in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [c for c, p in next(a for a in cli.build_parser()._actions
+                            if isinstance(a, argparse._SubParsersAction)).choices.items()
+         if any("--seed" in a.option_strings for a in p._actions)],
+    )
+    def test_negative_seed_is_a_usage_error(self, tiny_argv, capsys, command):
+        # numpy's generators take only non-negative seeds, so argparse refuses
+        # the flag before any work.
+        code, out, err = run_cli(capsys, [command, *tiny_argv[command], "--seed", "-1"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "--seed" in err and "non-negative" in err
+
     def test_capacity_error_names_cap_and_alternative(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
         write_cloud_text(big, np.random.default_rng(0).standard_normal((10, 1)))
@@ -264,7 +300,7 @@ class TestExitCodes:
         assert flag in err
 
     def test_float_flag_edge_values_exit_with_one_error_line(self, tiny_argv, capsys):
-        # Every float flag of every subcommand at nan, +-inf, 0 and -1: a
+        # Every float flag of every subcommand at nan, +-inf, 0, -1 and +-1e308: a
         # documented exit code, no escaping exception or numpy warning, and
         # stderr empty on success or one error line.
         documented = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FILE_NOT_FOUND, cli.EXIT_PARSE,
@@ -276,7 +312,7 @@ class TestExitCodes:
             for action in parser._actions:
                 if action.type is not float:
                     continue
-                for value in ("nan", "inf", "-inf", "0", "-1"):
+                for value in ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308"):
                     argv = [command, *tiny_argv[command], f"{action.option_strings[0]}={value}"]
                     try:
                         with warnings.catch_warnings():
@@ -613,6 +649,17 @@ class TestTrajectories:
         assert code == cli.EXIT_DOMAIN
         assert "--ref" in err
 
+    def test_reverse_assignment_trace_requires_ref(self, clouds, capsys):
+        _, y, tmp = clouds
+        ckpt = tmp / "m.ckpt"
+        train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(2,))).save(ckpt)
+        argv = ["reverse", "--init", y, "--score-source", "model", "--checkpoint", str(ckpt),
+                "--steps", "2", "--assignment-trace"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert "--assignment-trace requires --ref" in err
+
     def test_reverse_requires_checkpoint_for_model(self, clouds, capsys):
         _, y, _ = clouds
         code, _, err = run_cli(
@@ -716,6 +763,23 @@ class TestTrainSampleRoundtrip:
         )
         assert code == cli.EXIT_PARSE
         assert "category=parse" in err
+
+    @pytest.mark.parametrize(
+        "line", ["iterations 7", "iterations = many", "seed = -1"],
+        ids=["no-equals", "bad-value", "negative-seed"],
+    )
+    def test_bad_config_line_is_a_parse_error(self, tmp_path, capsys, line):
+        data = self._write_dataset(tmp_path)
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(f"width = 8\n{line}\n")
+        code, out, err = run_cli(
+            capsys,
+            ["train", "--data", data, "--config", str(cfg_file), "--out",
+             str(tmp_path / "m.ckpt")],
+        )
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: category=parse") and "train.cfg:2:" in err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         data = self._write_dataset(tmp_path)

@@ -18,7 +18,6 @@ from permdiff.heat_kernel import (
     initial_condition_check,
     quotient_kernel_semigroup_residual,
     quotient_log_heat_kernel_exact,
-    quotient_log_kernel_terms,
 )
 from permdiff.ou_sde import ou_transition, quotient_transition_log_density
 from permdiff.perm_mcmc import posterior_exact
@@ -186,19 +185,19 @@ class TestQuotientKernel:
         for t in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             val = quotient_log_heat_kernel_exact(x, y, t)
             assert math.isfinite(val)
-        # Far points at tiny t: every term is -inf, with no overflow warning
-        # (pyproject.toml's filterwarnings makes a RuntimeWarning an error).
+        # Far points at tiny t: every permutation weighs -inf, with no overflow
+        # warning (pyproject.toml's filterwarnings makes a RuntimeWarning an
+        # error), so the posterior is undefined.
         x, y = [[0.0], [1.0], [1e5]], [[0.0], [1.0], [2.0]]
-        terms = quotient_log_kernel_terms(x, y, 1e-300)
-        assert terms.shape == (6,) and np.all(terms == -math.inf)
+        with pytest.raises(DomainError, match="finite weight"):
+            posterior_exact(x, y, 1e-300)
         assert quotient_log_heat_kernel_exact(x, y, 1e-300) == -math.inf
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_term_count_is_factorial(self, n):
         rng = np.random.default_rng(20 + n)
         x = rng.standard_normal((n, 1))
-        terms = quotient_log_kernel_terms(x, x, 0.5)
-        assert terms.shape == (math.factorial(n),)
+        assert posterior_exact(x, x, 0.5).log_weights.shape == (math.factorial(n),)
 
     def test_capacity_error_above_cap(self):
         x = np.zeros((DP_CEILING + 1, 1))
@@ -223,10 +222,10 @@ class TestQuotientKernel:
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_custom_cap(self):
-        # the per-permutation terms enumerate S_N up to the fixed cap
+        # the exact posterior enumerates S_N up to the fixed cap
         x = np.zeros((ENUMERATION_CAP + 1, 1))
         with pytest.raises(CapacityError):
-            quotient_log_kernel_terms(x, x, 1.0)
+            posterior_exact(x, x, 1.0)
 
 
 class TestSemigroup:
@@ -326,3 +325,13 @@ class TestInitialCondition:
     def test_requires_decreasing_times(self):
         with pytest.raises(DomainError):
             initial_condition_check(lambda z: 1.0, [[0.0]], [0.1, 1.0], m=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "check",
+        [lambda: quotient_kernel_semigroup_residual([[0.0]], [[1.0]], 0.3, 0.5, m=0, seed=0),
+         lambda: initial_condition_check(lambda z: 1.0, [[0.0]], [0.1], m=0, seed=0)],
+        ids=["semigroup", "initial-condition"],
+    )
+    def test_needs_one_sample(self, check):
+        with pytest.raises(DomainError, match="m must be >= 1"):
+            check()

@@ -182,6 +182,8 @@ class TestSchedule:
         assert np.all(np.diff(sched.grid) > 0)
 
     def test_validation(self):
+        with pytest.raises(DomainError, match="at least two times"):
+            NoiseSchedule(np.array([0.0]))
         with pytest.raises(DomainError):
             NoiseSchedule(np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(DomainError):

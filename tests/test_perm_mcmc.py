@@ -18,6 +18,7 @@ from permdiff.perm_mcmc import (
     _block_gibbs,
     _swap_chain,
     cost_matrix,
+    exact_from_log_weights,
     log_weight,
     mcmc_sample,
     posterior_exact,
@@ -112,6 +113,10 @@ class TestPosteriorExact:
         x = np.zeros((10, 1))
         with pytest.raises(CapacityError):
             posterior_exact(x, x, 1.0)
+
+    def test_weights_of_the_wrong_length_raise(self):
+        with pytest.raises(DomainError, match="expected 6 log weights"):
+            exact_from_log_weights(3, np.zeros(5))
 
     def test_far_points_at_tiny_time_raise(self):
         # The far point's cost is -inf in every slot: every log weight is

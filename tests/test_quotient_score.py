@@ -11,7 +11,6 @@ from permdiff.errors import CapacityError, DomainError
 from permdiff.heat_kernel import DP_CEILING, quotient_log_heat_kernel_exact
 from permdiff.ou_sde import ou_coefficients, quotient_transition_log_density
 from permdiff.perm_mcmc import (
-    EMPIRICAL,
     McmcConfig,
     PermDistribution,
     exact_from_log_weights,
@@ -255,6 +254,11 @@ class TestOuConditionalScoresBatch:
         targets = ou_conditional_scores_mcmc(x0, y, np.full(8, 1e-300), range(8), 32)
         assert np.all(np.isfinite(targets))
 
+    def test_mcmc_targets_need_one_seed_per_cloud(self):
+        x0 = np.zeros((2, 3, 2))
+        with pytest.raises(DomainError, match="one seed per cloud"):
+            ou_conditional_scores_mcmc(x0, x0, [0.5, 0.5], [0], 8)
+
     def test_mcmc_targets_reject_k_below_one(self):
         x0 = np.zeros((1, 3, 2))
         with pytest.raises(DomainError, match="k must be >= 1"):
@@ -329,7 +333,7 @@ class TestElbo:
         ivals = np.array([log_weight(Permutation(tuple(p)), x, y, t) for p in perms])
         lw = np.full(len(perms), -np.inf)
         lw[int(np.argmax(ivals))] = 0.0
-        r = PermDistribution(perms.copy(), lw, "exact")
+        r = PermDistribution(perms.copy(), lw)
         rep = elbo(r, x, y, t)
         assert rep.elbo == pytest.approx(ivals.max(), rel=1e-12)
         assert rep.kl >= 0.0
@@ -347,8 +351,6 @@ class TestElbo:
 
     def test_rejects_empirical_mode(self):
         x, y, t = self._instance()
-        fake = PermDistribution(
-            permutation_array(3)[:4].copy(), np.full(4, -math.log(4.0)), EMPIRICAL
-        )
-        with pytest.raises(DomainError):
+        fake = PermDistribution(permutation_array(3)[:4].copy(), np.full(4, -math.log(4.0)))
+        with pytest.raises(DomainError, match="canonical enumeration"):
             elbo(fake, x, y, t)

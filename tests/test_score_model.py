@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from permdiff.bench import make_synthetic_dataset
 from permdiff.cloud import Permutation, PointCloud, apply, canonicalize
-from permdiff.errors import CapacityError, DomainError, TrainingDiverged
+from permdiff.errors import CapacityError, DomainError, ShapeMismatchError, TrainingDiverged
 from permdiff.heat_kernel import DP_CEILING
 from permdiff.ou_sde import REVERSE_T_MIN, NoiseSchedule, ou_transition, reverse_integrate
 from permdiff.perm_mcmc import McmcConfig
@@ -378,6 +378,24 @@ class TestTrain:
             "1b28f801dd0738935a45b59bba4c4dac2290517a59327d1853572fd1e5ff9b85"
         )
 
+    def test_seeded_adam_training_is_pinned(self):
+        # Every benchmark workload trains with Adam at these settings.
+        data = make_synthetic_dataset("jittered-template", 12, 3, 2, 3)
+        cfg = TrainConfig(optimizer="adam", iterations=5, batch_size=8, widths=(16, 16),
+                          weighting="variance-scaled", output_scale="noise", t_min=1e-3, seed=5)
+        params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
+        assert hashlib.sha256(params.tobytes()).hexdigest() == (
+            "4137e7d94a09bb444831f52bc16821e7b5c0dc625a5d0273229dc5c6c6101ea6"
+        )
+
+    def test_adam_halves_holdout_loss_on_toy_task(self):
+        data = make_synthetic_dataset("jittered-template", 64, 3, 2, seed=43, jitter=0.05)
+        cfg = TrainConfig(optimizer="adam", iterations=300, batch_size=32, step_size=1e-2,
+                          widths=(32, 32), weighting="variance-scaled", output_scale="noise",
+                          t_min=1e-3, seed=44)
+        curve = train(data, cfg).holdout_curve
+        assert curve[-1][1] < 0.5 * curve[0][1]
+
     def test_eval_set_above_the_dp_ceiling_matches_per_pair_chains(self):
         rng = np.random.default_rng(41)
         clouds = [rng.standard_normal((17, 2)) for _ in range(2)]
@@ -406,6 +424,27 @@ class TestTrain:
                 )
                 k += 1
         assert k == len(ts)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: train([], TrainConfig(iterations=1)), DomainError, "nonempty"),
+        (lambda: sample_from_model(
+            train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(2,))), 0,
+            NoiseSchedule.uniform(1.0, 2), seed=0), DomainError, "n_samples"),
+        (lambda: EquivariantNet(0, (4,)), DomainError, "point_dim"),
+        (lambda: EquivariantNet(1, (4,), output_scale="huge"), DomainError, "output_scale"),
+        (lambda: EquivariantNet(1, (4,)).set_flat(np.zeros(3)), ShapeMismatchError, "parameters"),
+        (lambda: EquivariantNet(1, (4,)).forward(np.zeros((1, 2, 2)), np.ones(1)),
+         ShapeMismatchError, "point dimension"),
+    ],
+    ids=["train-no-data", "sample-none", "net-point-dim", "net-output-scale", "net-flat-shape",
+         "net-input-shape"],
+)
+def test_refuses_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestCheckpoint:
