@@ -161,13 +161,20 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 
     On squared distances these are the most probable assignments, where the
     MCMC chains start. scipy.optimize is imported on the first call, so that
-    importing the package loads numpy alone.
+    importing the package loads numpy alone. Raises DomainError when every
+    assignment of a matrix has an infinite cost (squared distances that
+    overflow), where none is the most probable.
     """
     from scipy.optimize import linear_sum_assignment
 
     mapping = np.empty(cost.shape[:-1], dtype=np.intp)
     for s, matrix in zip(mapping.reshape(-1, cost.shape[-1]), cost.reshape(-1, *cost.shape[-2:])):
-        rows, cols = linear_sum_assignment(matrix)
+        try:
+            rows, cols = linear_sum_assignment(matrix)
+        except ValueError as exc:  # "cost matrix is infeasible"
+            raise DomainError(
+                "every assignment of the points has an infinite squared distance"
+            ) from exc
         s[cols] = rows
     return mapping
 

@@ -9,6 +9,13 @@ step makes one forward pass and runs the backward pass over its cache. The
 optimizer is SGD with momentum (or Adam) for zero-dependency
 reproducibility.
 
+Precision: a net computes in the dtype of the parameters it holds, and
+returns float64 outputs and gradients. A net built directly holds float64
+parameters. ``train`` keeps float64 master parameters, optimizer state and
+losses, and hands the net a float32 copy after every update, so trained nets
+compute in float32; ``Checkpoint.build_net`` does the same for sampling.
+Checkpoint files hold the float64 master parameters.
+
 Step-size schedule, for both optimizers: the step grows linearly over the
 first ``WARMUP_ITERATIONS`` iterations, then decays along a cosine to zero
 at the last iteration. The paper fixes no schedule; this one is the
@@ -113,7 +120,9 @@ class EquivariantNet:
         return np.concatenate([a.ravel() for layer in self.layers for a in layer])
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
+        """Load parameters; a float32 vector stays float32, anything else becomes float64."""
+        flat = np.asarray(flat)
+        flat = flat.astype(np.float32 if flat.dtype == np.float32 else float, copy=False)
         if flat.shape != (self.n_params,):
             raise ShapeMismatchError(
                 f"expected {self.n_params} parameters, got {flat.shape}"
@@ -125,7 +134,10 @@ class EquivariantNet:
                 pos += a.size
 
     def _forward(self, clouds: np.ndarray, ts: np.ndarray):
-        """Output (B, N, d) in the caller's order, and the cache ``_backward`` needs."""
+        """Output (B, N, d) in the caller's order, and the cache ``_backward`` needs.
+
+        The layers run in the parameters' dtype; the output is float64.
+        """
         b, n, pd = clouds.shape
         if pd != self.point_dim:
             raise ShapeMismatchError(
@@ -137,7 +149,7 @@ class EquivariantNet:
         order = np.lexsort(zeroed.transpose(2, 0, 1))
         rows = order + offsets
         feats = time_features(ts)
-        h = np.empty((b, n, pd + N_TIME_FEATURES))
+        h = np.empty((b, n, pd + N_TIME_FEATURES), dtype=self.layers[0][0].dtype)
         h[:, :, :pd] = zeroed.reshape(b * n, pd)[rows]
         h[:, :, pd:] = feats[:, None, :]
         sorted_clouds = h[:, :, :pd]
@@ -156,9 +168,10 @@ class EquivariantNet:
             out = z if li == n_layers - 1 else np.tanh(z, out=z)
             cache.append((h, ctx, out))
             h = out
+        out = h.reshape(b * n, pd)[source].astype(float, copy=False)
         if self.output_scale == "noise":
-            h = h / feats[:, None, 2:]
-        return h.reshape(b * n, pd)[source], (rows, feats, cache)
+            out /= feats[:, None, 2:]
+        return out, (rows, feats, cache)
 
     def _backward(self, state, grad_out: np.ndarray) -> np.ndarray:
         """Flat parameter gradient of sum(grad_out * output) over a cached pass.
@@ -174,6 +187,7 @@ class EquivariantNet:
         g = np.asarray(grad_out, dtype=float).reshape(b * n, self.point_dim)[rows]
         if self.output_scale == "noise":
             g = g / feats[:, None, 2:]
+        g = g.astype(self.layers[0][0].dtype, copy=False)
         grads: list[list[np.ndarray]] = [[] for _ in self.layers]
         n_layers = len(self.layers)
         for li in range(n_layers - 1, -1, -1):
@@ -188,7 +202,7 @@ class EquivariantNet:
             grads[li] = [d_self, d_ctx, d_bias]
             if li > 0:
                 g = (gz_rows @ w_self.T).reshape(b, n, -1) + ((gsum @ w_ctx.T) / n)[:, None, :]
-        return np.concatenate([a.ravel() for layer in grads for a in layer])
+        return np.concatenate([a.ravel() for layer in grads for a in layer], dtype=float)
 
     def forward(self, clouds: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Batched evaluation: clouds (B, N, d), ts (B,) -> (B, N, d)."""
@@ -348,8 +362,13 @@ class Checkpoint:
     VERSION = 1
 
     def build_net(self) -> EquivariantNet:
+        """The net in float32, the precision it was trained in."""
+        with np.errstate(over="ignore"):
+            params = self.params.astype(np.float32)
+        if (np.isinf(params) & np.isfinite(self.params)).any():
+            raise DomainError("checkpoint parameters exceed the float32 range the net computes in")
         net = EquivariantNet(self.point_dim, self.widths, seed=0, output_scale=self.output_scale)
-        net.set_flat(self.params)
+        net.set_flat(params)
         return net
 
     def save(self, path) -> None:
@@ -465,9 +484,10 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
     The step is ``cfg.step_size * _step_scale(it, cfg.iterations)``: linear
     warmup, then cosine decay to zero (see the module docstring). A
     non-finite loss or one above ``DIVERGENCE_THRESHOLD``, or a non-finite
-    held-out loss, raises TrainingDiverged. Exact targets come from the
-    subset DP: exact mode above ``DP_CEILING`` points raises CapacityError
-    before any work.
+    held-out loss, raises TrainingDiverged. The net computes in float32 on a
+    copy of the float64 master parameters (see the module docstring). Exact
+    targets come from the subset DP: exact mode above ``DP_CEILING`` points
+    raises CapacityError before any work.
     """
     clouds = [as_points(c) for c in dataset]
     if not clouds:
@@ -493,6 +513,7 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
 
     net = EquivariantNet(d, cfg.widths, seed=cfg.seed, output_scale=cfg.output_scale)
     flat = net.get_flat()
+    net.set_flat(flat.astype(np.float32))
     velocity = np.zeros_like(flat)
     adam_m = np.zeros_like(flat)
     adam_v = np.zeros_like(flat)
@@ -526,7 +547,7 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
             else:
                 velocity = cfg.momentum * velocity - step * grad
                 flat = flat + velocity
-        net.set_flat(flat)
+            net.set_flat(flat.astype(np.float32))
         train_curve.append((it, loss))
         if it % cfg.eval_every == 0 or it == cfg.iterations:
             held = _eval_loss(net, eval_set, cfg.weighting)
@@ -535,7 +556,7 @@ def train(dataset, cfg: TrainConfig) -> Checkpoint:
             holdout_curve.append((it, held))
 
     return Checkpoint(
-        params=net.get_flat(),
+        params=flat,
         point_dim=d,
         n_points=n,
         widths=cfg.widths,

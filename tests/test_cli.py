@@ -220,6 +220,22 @@ class TestExitCodes:
         assert "step 0" in err
         assert out == ""
 
+    def test_checkpoint_beyond_float32_range(self, capsys, tmp_path):
+        # The file is finite, but the net computes in float32, where 1e39 overflows.
+        ckpt = train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(4,), seed=0))
+        ckpt.params[0] = 1e39
+        path = tmp_path / "huge.ckpt"
+        ckpt.save(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, ["sample", "--checkpoint", str(path), "--n", "2", "--steps", "8"]
+            )
+        assert code == cli.EXIT_DOMAIN
+        assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
+        assert "float32" in err
+        assert out == ""
+
     def test_truncated_checkpoint(self, capsys, tmp_path):
         ckpt = train([np.zeros((2, 1))], TrainConfig(iterations=0, widths=(4,), seed=0))
         path = tmp_path / "cut.ckpt"
@@ -360,6 +376,26 @@ class TestExitCodes:
         assert code == cli.EXIT_DOMAIN
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["posterior", "--mode", "mcmc", "--t", "1", "--y", "y.txt"],
+         ["score", "--mode", "mcmc", "--t", "1", "--y", "y.txt"],
+         ["forward", "--steps", "2", "--assignment-trace"]],
+        ids=["posterior-mcmc", "score-mcmc", "forward-trace"],
+    )
+    def test_every_assignment_infinitely_far_gives_one_error_line(self, capsys, tmp_path,
+                                                                  monkeypatch, argv):
+        # Every squared distance overflows: the assignment solver, where the
+        # chains start and the trace matches, finds no assignment of finite cost.
+        monkeypatch.chdir(tmp_path)
+        write_cloud_text("x.txt", np.array([[0.0], [1e300]]))
+        write_cloud_text("y.txt", np.array([[-1e300], [2e300]]))
+        code, out, err = run_cli(capsys, [*argv, "--x", "x.txt"])
+        assert code == cli.EXIT_DOMAIN
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: category=domain: ")
+        assert "infinite squared distance" in err
 
     @pytest.mark.parametrize(
         "flags, field",

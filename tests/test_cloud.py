@@ -175,6 +175,13 @@ class TestOrbitDistance:
         with pytest.raises(ShapeMismatchError):
             orbit_distance([[0.0], [1.0]], [[0.0, 1.0]])
 
+    def test_every_assignment_infinitely_far_is_a_domain_error(self):
+        # Every squared distance overflows, so no assignment has a finite cost.
+        x, y = [[0.0], [1e300]], [[-1e300], [2e300]]
+        for call in (orbit_distance, min_cost_assignment):
+            with pytest.raises(DomainError, match="infinite squared distance"):
+                call(x, y)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

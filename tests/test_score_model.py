@@ -26,14 +26,15 @@ from permdiff.score_model import (
     _frozen_eval_set,
     _sample_times,
     sample_from_model,
+    time_features,
     train,
 )
 
 
-def randomized_net(point_dim, widths, seed, scale=0.3):
-    net = EquivariantNet(point_dim, widths, seed=seed)
+def randomized_net(point_dim, widths, seed, scale=0.3, dtype=float, output_scale="none"):
+    net = EquivariantNet(point_dim, widths, seed=seed, output_scale=output_scale)
     rng = np.random.default_rng(seed + 1)
-    net.set_flat(scale * rng.standard_normal(net.n_params))
+    net.set_flat((scale * rng.standard_normal(net.n_params)).astype(dtype))
     return net
 
 
@@ -174,6 +175,132 @@ def pass_digest(b, n):
 @pytest.mark.parametrize("b, n", sorted(PASS_DIGESTS))
 def test_forward_and_backward_are_pinned(b, n):
     assert pass_digest(b, n) == PASS_DIGESTS[b, n]
+
+
+def float32_error_bounds(net, y, ts, grad_out):
+    """Elementwise bounds on how far a float32 pass may be from a float64 one.
+
+    ``net`` holds float64 parameters that float32 represents exactly. Returns
+    bounds on the forward output and on the flat gradient of
+    sum(grad_out * output). A first-order running error analysis: a sum of k
+    terms, each with at most one rounded product, errs by at most gamma_k
+    times the sum of their magnitudes; every operand carries its own error
+    bound into the next operation; tanh is 1-Lipschitz and its float32 value
+    is taken to be within 4 ulp. The unit roundoff u adds float64's to
+    float32's, since the float64 pass rounds too, and the magnitudes include
+    their error bounds, which covers the second-order terms.
+    """
+    u = (np.finfo(np.float32).eps + np.finfo(np.float64).eps) / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    b, n, d = y.shape
+    feats = time_features(ts)
+    h = np.concatenate([y, np.broadcast_to(feats[:, None, :], (b, n, feats.shape[1]))], axis=2)
+    e = u * np.abs(h)  # the float32 input
+    passes = []
+    for li, (w, wc, bias) in enumerate(net.layers):
+        ctx = h.mean(axis=1)
+        e_ctx = e.mean(axis=1) + gamma(n + 1) * (np.abs(h) + e).mean(axis=1)
+        mag = (np.abs(h) + e) @ abs(w) + ((np.abs(ctx) + e_ctx) @ abs(wc) + abs(bias))[:, None]
+        z = h @ w + (ctx @ wc + bias)[:, None]
+        e_z = e @ abs(w) + (e_ctx @ abs(wc))[:, None] + gamma(w.shape[0] + 2) * mag
+        last = li == len(net.layers) - 1
+        out = z if last else np.tanh(z)
+        # tanh' = 1 - tanh^2 peaks on [z - e_z, z + e_z] at the point nearest 0.
+        slope = 1.0 if last else 1 - np.tanh(np.maximum(np.abs(z) - e_z, 0)) ** 2
+        e_out = e_z * slope if last else e_z * slope + 8 * u * np.abs(out)
+        passes.append((h, e, ctx, e_ctx, out, e_out))
+        h, e = out, e_out
+    s = feats[:, None, 2:] if net.output_scale == "noise" else 1.0
+    out_bound = e / s + u * np.abs(h / s)
+
+    g = grad_out / s
+    e_g = u * np.abs(g)  # the float32 gradient
+    grads = []
+    for li in range(len(net.layers) - 1, -1, -1):
+        w, wc, _ = net.layers[li]
+        h_in, e_in, ctx, e_ctx, h_out, e_hout = passes[li]
+        if li == len(net.layers) - 1:
+            gz, e_gz = g, e_g
+        else:
+            gz = g * (1 - h_out * h_out)
+            a_g, a_out = np.abs(g) + e_g, np.abs(h_out) + e_hout
+            e_gz = e_g + a_g * (2 * a_out * e_hout + 2 * gamma(3))
+        a_gz = np.abs(gz) + e_gz
+        gsum = gz.sum(axis=1)
+        e_gsum = e_gz.sum(axis=1) + gamma(n) * a_gz.sum(axis=1)
+        a_gsum = np.abs(gsum) + e_gsum
+        a_in = (np.abs(h_in) + e_in).reshape(b * n, -1)
+        a_ctx = np.abs(ctx) + e_ctx
+        e_gz_rows, a_gz_rows = e_gz.reshape(b * n, -1), a_gz.reshape(b * n, -1)
+        e_self = (a_in.T @ e_gz_rows + e_in.reshape(b * n, -1).T @ a_gz_rows
+                  + gamma(b * n) * a_in.T @ a_gz_rows)
+        e_ctx_w = a_ctx.T @ e_gsum + e_ctx.T @ a_gsum + gamma(b) * a_ctx.T @ a_gsum
+        e_bias = e_gsum.sum(axis=0) + gamma(b) * a_gsum.sum(axis=0)
+        grads.append([e_self, e_ctx_w, e_bias])
+        if li > 0:
+            g = gz @ w.T + (gsum @ wc.T / n)[:, None]
+            mag = a_gz @ abs(w.T) + (a_gsum @ abs(wc.T) / n)[:, None]
+            e_g = e_gz @ abs(w.T) + (e_gsum @ abs(wc.T) / n)[:, None] + gamma(w.shape[1] + 3) * mag
+    grad_bound = np.concatenate([a.ravel() for layer in grads[::-1] for a in layer])
+    return out_bound, grad_bound
+
+
+def float32_case(b, n, d, output_scale):
+    """A float32 net, its float64 copy, and a batch with repeated points and signed zeros."""
+    rng = np.random.default_rng([b, n, d, output_scale == "noise"])
+    net32 = randomized_net(d, (32, 32), seed=d, dtype=np.float32, output_scale=output_scale)
+    net64 = EquivariantNet(d, (32, 32), output_scale=output_scale)
+    net64.set_flat(net32.get_flat().astype(float))
+    y = rng.standard_normal((b, n, d))[:, rng.integers(0, n, size=n)]
+    zero = rng.random((b, n, d)) < 0.3
+    y[zero] = 0.0
+    y = np.where(zero & (rng.random((b, n, d)) < 0.5), -0.0, y)
+    ts = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), size=b))
+    return net32, net64, y, ts, rng
+
+
+FLOAT32_CASES = [(b, n, d, scale) for b in (1, 5, 64) for n in (1, 3, 7)
+                 for d in (1, 3) for scale in ("none", "noise")]
+
+
+class TestFloat32Net:
+    """A net holding float32 parameters computes in float32 and returns float64."""
+
+    @pytest.mark.parametrize("b, n, d, output_scale", FLOAT32_CASES)
+    def test_passes_return_float64_within_float32_rounding(self, b, n, d, output_scale):
+        net32, net64, y, ts, rng = float32_case(b, n, d, output_scale)
+        assert all(a.dtype == np.float32 for layer in net32.layers for a in layer)
+        g = rng.standard_normal(y.shape)
+        out32, state = net32._forward(y, ts)
+        grad32 = net32._backward(state, g)
+        assert out32.dtype == grad32.dtype == np.float64
+        out64, state = net64._forward(y, ts)
+        grad64 = net64._backward(state, g)
+        out_bound, grad_bound = float32_error_bounds(net64, y, ts, g)
+        assert np.all(np.abs(out32 - out64) <= out_bound)
+        assert np.all(np.abs(grad32 - grad64) <= grad_bound)
+        assert (out32 != out64).any()  # the float32 net did not compute in float64
+
+    @pytest.mark.parametrize("b, n, d, output_scale", FLOAT32_CASES)
+    def test_permuting_the_input_permutes_the_output_bitwise(self, b, n, d, output_scale):
+        net32, _, y, ts, rng = float32_case(b, n, d, output_scale)
+        out = bits(net32.forward(y, ts))
+        for _ in range(3):
+            p = rng.permutation(n)
+            np.testing.assert_array_equal(bits(net32.forward(y[:, p], ts)), out[:, p])
+
+    @pytest.mark.parametrize("b, n, d, output_scale", FLOAT32_CASES)
+    def test_batch_rows_equal_lone_calls_up_to_rounding(self, b, n, d, output_scale):
+        # Both are within the bound of the float64 value, so within twice it of each other.
+        net32, net64, y, ts, _ = float32_case(b, n, d, output_scale)
+        out = net32.forward(y, ts)
+        out_bound, _ = float32_error_bounds(net64, y, ts, np.zeros(y.shape))
+        for i in range(b):
+            lone = net32.forward(y[i : i + 1], ts[i : i + 1])[0]
+            assert np.all(np.abs(out[i] - lone) <= 2 * out_bound[i])
 
 
 class TestBackprop:
@@ -369,23 +496,25 @@ class TestTrain:
     def test_seeded_mcmc_training_is_pinned(self):
         # Pinned with block-Gibbs MCMC targets (Rao-Blackwellised marginals of
         # ceil(k / 8) chains per target); the earlier pin, with swap-chain
-        # targets, differed in all 770 parameters, by at most 3.9e-4.
+        # targets, differed in all 770 parameters, by at most 3.9e-4. The net
+        # computes in float32; in float64 the parameters differ by at most 3.2e-9.
         data = make_synthetic_dataset("jittered-template", 12, 7, 2, 3)
         cfg = TrainConfig(target_mode="mcmc", iterations=3, batch_size=8, mcmc_k=4,
                           widths=(16, 16), seed=5)
         params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
         assert hashlib.sha256(params.tobytes()).hexdigest() == (
-            "1b28f801dd0738935a45b59bba4c4dac2290517a59327d1853572fd1e5ff9b85"
+            "297d6bd5567452d67820afc2ff5e28268fce40f924f1779b2101d2d47f2ceb01"
         )
 
     def test_seeded_adam_training_is_pinned(self):
-        # Every benchmark workload trains with Adam at these settings.
+        # Every benchmark workload trains with Adam at these settings. The net
+        # computes in float32; in float64 the parameters differ by at most 5.9e-9.
         data = make_synthetic_dataset("jittered-template", 12, 3, 2, 3)
         cfg = TrainConfig(optimizer="adam", iterations=5, batch_size=8, widths=(16, 16),
                           weighting="variance-scaled", output_scale="noise", t_min=1e-3, seed=5)
         params = np.ascontiguousarray(train(data, cfg).params, dtype="<f8")
         assert hashlib.sha256(params.tobytes()).hexdigest() == (
-            "4137e7d94a09bb444831f52bc16821e7b5c0dc625a5d0273229dc5c6c6101ea6"
+            "1989423b0a2e058abadddadd29d13af04d23cc42ca745cb2c433bdec9de2f287"
         )
 
     def test_adam_halves_holdout_loss_on_toy_task(self):
@@ -465,8 +594,9 @@ class TestCheckpoint:
 
     def test_loads_a_train_config_with_divergence_threshold(self, tmp_path):
         # Checkpoints written while the threshold was a TrainConfig field hold
-        # it in train_config. Such a file loads and samples as it did then:
-        # the digest was computed with that version of the package.
+        # it in train_config. Such a file loads and samples as it did then, up
+        # to the float32 arithmetic the net now runs: the samples differ from
+        # the float64 net's by at most 3.4e-8.
         rng = np.random.default_rng(48)
         data = [rng.standard_normal((3, 2)) for _ in range(6)]
         ckpt = train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,), seed=49))
@@ -477,8 +607,27 @@ class TestCheckpoint:
         assert loaded.train_config == ckpt.train_config
         samples = sample_from_model(loaded, 4, NoiseSchedule.geometric(1.0, 16, 1e-3), seed=50)
         assert hashlib.sha256(np.stack([s.points for s in samples]).tobytes()).hexdigest() == (
-            "a927dd3d73f80ebfe75129e03c08abacc6e9742fc9bae2187f9db36d10696ec6"
+            "0d7c5b68884898df3bee083b2cce492d4303654ca69c0512dc427e845bb14537"
         )
+
+    def test_float64_master_parameters_sample_alike_saved_or_not(self, tmp_path):
+        # train returns its float64 master parameters, finer than the float32
+        # copy its net computed on, and the file holds them as they are.
+        rng = np.random.default_rng(55)
+        data = [rng.standard_normal((3, 2)) for _ in range(6)]
+        ckpt = train(data, TrainConfig(iterations=20, batch_size=4, widths=(8,), seed=56))
+        assert ckpt.params.dtype == np.float64
+        assert not np.array_equal(ckpt.params, ckpt.params.astype(np.float32))
+        assert all(a.dtype == np.float32 for layer in ckpt.build_net().layers for a in layer)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path)
+        loaded = Checkpoint.load(path)
+        assert loaded.params.tobytes() == ckpt.params.tobytes()
+        sched = NoiseSchedule.geometric(1.0, 16, 1e-3)
+        in_memory = sample_from_model(ckpt, 4, sched, seed=57)
+        saved = sample_from_model(loaded, 4, sched, seed=57)
+        for a, b in zip(in_memory, saved):
+            assert a.points.tobytes() == b.points.tobytes()
 
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -587,14 +736,16 @@ class TestBatchedSampling:
 class TestNoiseBlocks:
     """Noise drawn in blocks of steps gives each cloud the stream of one draw per step."""
 
-    # sha256 of sample_from_model's clouds, computed when each cloud drew one
-    # (N, d) normal per step. 64 steps fill one block; 65 and 200 cross a
-    # block boundary. A geometric grid needs two steps, so one step is uniform.
+    # sha256 of sample_from_model's clouds from the float32 net, whose samples
+    # differ from the float64 net's by at most 5.3e-8; the float64 digests were
+    # computed when each cloud drew one (N, d) normal per step. 64 steps fill
+    # one block; 65 and 200 cross a block boundary. A geometric grid needs two
+    # steps, so one step is uniform.
     DIGESTS = {
-        1: "66c42580edc8972518aa007319186b2a66e652bf3a3781b791e62ecb62f71d59",
-        64: "998bca6063a5363209c65a60081470c7b5aaddee9c2f0b925e6061b9845d2c56",
-        65: "fe754999d0547be4756ffaf5c446c913cb066cdff33cf7f8fb96af6783c21901",
-        200: "4aaf4bccda873785490a79c11c4f09043537c7654ce29b9d99eb3099ffd54391",
+        1: "fd3a9cc54a1e7ff5659a252327ac77fcae743ee214e3e3cfb3941721d5b18a5e",
+        64: "02aeba20feb5eef48e3a00afbc84bddf14d9a1c38c3ea5981d65cf166bb8e959",
+        65: "819fb1bb74d133d0df106c5bcfe3ab2864182329a16b93fa0d89ab8e2d7047fe",
+        200: "6b6302a8a0d673b3d39613d29fdd8b88b97ec8e5cf6676c1416f59a8fa639763",
     }
 
     @pytest.fixture(scope="class")
